@@ -1,10 +1,6 @@
 #include "balancer.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,7 +13,6 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/trace.hh"
-#include "service/net_io.hh"
 
 namespace printed::service
 {
@@ -83,15 +78,6 @@ readPipeLine(int fd, std::string &out)
 
 } // anonymous namespace
 
-/** One client connection: socket, reader thread, write lock. */
-struct Balancer::Connection
-{
-    int fd = -1;
-    std::mutex writeMutex;
-    std::thread reader;
-    std::atomic<bool> open{true};
-};
-
 Balancer::Balancer(BalancerOptions opts) : opts_(std::move(opts)) {}
 
 Balancer::~Balancer()
@@ -122,38 +108,15 @@ Balancer::start()
     ring_ = std::make_unique<ShardMap>(ShardMap::forCount(
         unsigned(shards_.size()), opts_.vnodes, opts_.ringSeed));
 
-    if (opts_.faultPlan.enabled())
-        fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
-
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(listenFd_ < 0,
-            std::string("socket(): ") + std::strerror(errno));
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opts_.port);
-    fatalIf(::inet_pton(AF_INET, opts_.host.c_str(),
-                        &addr.sin_addr) != 1,
-            "bad listen address '" + opts_.host + "'");
-    fatalIf(::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0,
-            std::string("bind(): ") + std::strerror(errno));
-    fatalIf(::listen(listenFd_, 64) != 0,
-            std::string("listen(): ") + std::strerror(errno));
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                  &len);
-    port_ = ntohs(bound.sin_port);
-
-    acceptThread_ = std::thread([this] {
-        trace::setThreadName("balancer-accept");
-        acceptLoop();
-    });
+    front_.start(
+        opts_.host, opts_.port, opts_.maxRequestBytes, opts_.faultPlan,
+        [this]() -> LineServer::Session {
+            // Each connection gets its own worker-connection cache.
+            auto cache = std::make_shared<std::map<unsigned, Client>>();
+            return [this, cache](const ConnPtr &c, const std::string &l) {
+                handleLine(c, l, *cache);
+            };
+        });
     probeThread_ = std::thread([this] {
         trace::setThreadName("balancer-probe");
         probeLoop();
@@ -177,7 +140,7 @@ Balancer::shardAddress(unsigned shard) const
 void
 Balancer::beginShutdown()
 {
-    draining_.store(true);
+    front_.refuseNew();
     {
         std::lock_guard lk(stopMutex_);
         stopRequested_ = true;
@@ -201,32 +164,14 @@ Balancer::wait()
 void
 Balancer::joinEverything()
 {
-    // 1. Stop accepting; unblock accept(2).
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
+    // 1. Stop accepting.
+    front_.stopAccepting();
     if (probeThread_.joinable())
         probeThread_.join();
 
     // 2. Hang up client connections; readers see EOF and exit
     //    (closing their cached worker connections with them).
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard lk(connMutex_);
-        conns.swap(conns_);
-    }
-    for (const auto &c : conns)
-        ::shutdown(c->fd, SHUT_RD);
-    for (const auto &c : conns) {
-        if (c->reader.joinable())
-            c->reader.join();
-        ::close(c->fd);
-    }
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    front_.hangUp();
 
     // 3. The balancer owns its fleet's lifecycle: draining the
     //    front drains the workers behind it (the CI smoke job
@@ -346,78 +291,7 @@ Balancer::reapWorkers()
 }
 
 void
-Balancer::acceptLoop()
-{
-    for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listen socket shut down
-        }
-        if (draining_.load()) {
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-        metrics::counter("balancer.connections").add(1);
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard lk(connMutex_);
-            conns_.push_back(conn);
-        }
-        conn->reader = std::thread([this, conn] {
-            trace::setThreadName("balancer-reader");
-            readerLoop(conn);
-        });
-    }
-}
-
-void
-Balancer::readerLoop(std::shared_ptr<Connection> conn)
-{
-    // One reader serves its connection's lines serially, so its
-    // worker-connection cache needs no locking; concurrency comes
-    // from having many client connections.
-    std::map<unsigned, Client> shardConns;
-    std::string buffer;
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n =
-            netio::recvSome(conn->fd, chunk, sizeof(chunk));
-        if (n <= 0)
-            break; // EOF, error, or shutdown(SHUT_RD)
-        buffer.append(chunk, std::size_t(n));
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t nl = buffer.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string line = buffer.substr(start, nl - start);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            start = nl + 1;
-            if (!line.empty())
-                handleLine(conn, line, shardConns);
-        }
-        buffer.erase(0, start);
-        if (buffer.size() > opts_.maxRequestBytes) {
-            sendLine(conn,
-                     errorReply("", errc::parseError,
-                                "request line too long"));
-            break;
-        }
-    }
-    conn->open.store(false);
-}
-
-void
-Balancer::handleLine(const std::shared_ptr<Connection> &conn,
-                     const std::string &line,
+Balancer::handleLine(const ConnPtr &conn, const std::string &line,
                      std::map<unsigned, Client> &shardConns)
 {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
@@ -427,41 +301,34 @@ Balancer::handleLine(const std::shared_ptr<Connection> &conn,
     try {
         req = parseRequest(line);
     } catch (const json::ParseError &e) {
-        sendLine(conn, errorReply("", errc::parseError, e.what()));
+        front_.sendLine(conn,
+                        errorReply("", errc::parseError, e.what()));
         return;
     } catch (const FatalError &e) {
-        sendLine(conn, errorReply("", errc::badRequest, e.what()));
+        front_.sendLine(conn,
+                        errorReply("", errc::badRequest, e.what()));
         return;
     }
 
-    switch (req.type) {
-      case RequestType::Metrics:
-        stats_.fanouts.fetch_add(1, std::memory_order_relaxed);
-        sendLine(conn, okReply(req.id, req.type,
-                               mergedMetricsBody(shardConns)));
-        return;
-      case RequestType::Health:
-        stats_.fanouts.fetch_add(1, std::memory_order_relaxed);
-        sendLine(conn, okReply(req.id, req.type,
-                               mergedHealthBody(shardConns)));
-        return;
-      case RequestType::Shutdown:
-        sendLine(conn, okReply(req.id, req.type,
-                               "{\"draining\": true}"));
-        beginShutdown();
-        return;
-      case RequestType::Synth:
-      case RequestType::Yield:
-      case RequestType::Sweep:
-      case RequestType::Classify:
+    if (!requestTypeInfo(req.type).admin) {
         routeCompute(conn, req, line, shardConns);
-        return;
+    } else if (req.type == RequestType::Shutdown) {
+        front_.sendLine(conn, okReply(req.id, req.type,
+                                      "{\"draining\": true}"));
+        beginShutdown();
+    } else {
+        stats_.fanouts.fetch_add(1, std::memory_order_relaxed);
+        front_.sendLine(
+            conn, okReply(req.id, req.type,
+                          req.type == RequestType::Metrics
+                              ? mergedMetricsBody(shardConns)
+                              : mergedHealthBody(shardConns)));
     }
 }
 
 void
-Balancer::routeCompute(const std::shared_ptr<Connection> &conn,
-                       const Request &req, const std::string &line,
+Balancer::routeCompute(const ConnPtr &conn, const Request &req,
+                       const std::string &line,
                        std::map<unsigned, Client> &shardConns)
 {
     stats_.routed.fetch_add(1, std::memory_order_relaxed);
@@ -486,7 +353,7 @@ Balancer::routeCompute(const std::shared_ptr<Connection> &conn,
         }
 
         Client &worker = shardConns[shardId];
-        if (forwardAttempt(shard, worker, conn, req, wire, degraded,
+        if (forwardAttempt(shard, worker, conn, wire, degraded,
                            forwarded)) {
             if (degraded) {
                 stats_.failovers.fetch_add(
@@ -501,19 +368,17 @@ Balancer::routeCompute(const std::shared_ptr<Connection> &conn,
 
     stats_.unavailable.fetch_add(1, std::memory_order_relaxed);
     metrics::counter("balancer.unavailable").add(1);
-    sendLine(conn,
-             errorReply(req.id, errc::unavailable,
-                        "every shard for this key is down"));
+    front_.sendLine(conn,
+                    errorReply(req.id, errc::unavailable,
+                               "every shard for this key is down"));
 }
 
 bool
 Balancer::forwardAttempt(Shard &shard, Client &worker,
-                         const std::shared_ptr<Connection> &conn,
-                         const Request &req,
+                         const ConnPtr &conn,
                          const std::string &wireLine, bool degraded,
                          std::uint64_t &forwardedOut)
 {
-    (void)req;
     // A cached connection may be stale (the worker restarted since
     // it was opened): one clean-slate resend is allowed, but only
     // while no frame of this attempt has been relayed — resending
@@ -530,18 +395,26 @@ Balancer::forwardAttempt(Shard &shard, Client &worker,
                     worker.readLine(opts_.shardCallTimeoutMs);
                 const StreamFrame frame = classifyFrame(raw);
                 if (frame.kind == StreamFrame::Kind::Partial) {
-                    sendLine(conn, raw, /*faultable=*/true);
+                    front_.sendLine(conn, raw, /*faultable=*/true);
                     ++relayed;
                     ++forwardedOut;
                     stats_.partialsForwarded.fetch_add(
                         1, std::memory_order_relaxed);
                     continue;
                 }
+                // A draining worker's refusal is a failover, not an
+                // answer: the caller marks it down and resumes past
+                // any partials relayed from it on the next shard.
+                if (frame.error == errc::shuttingDown) {
+                    worker.close();
+                    return false;
+                }
                 // Done or Final: the exchange is over. Annotating
                 // only these frames keeps partial bodies byte-exact
                 // for reassembly.
-                sendLine(conn, degraded ? markDegraded(raw) : raw,
-                         /*faultable=*/true);
+                front_.sendLine(conn,
+                                degraded ? markDegraded(raw) : raw,
+                                /*faultable=*/true);
                 return true;
             }
         } catch (const std::exception &) {
@@ -640,46 +513,53 @@ Balancer::balancerStatsBody() const
 }
 
 std::string
+Balancer::fanOut(std::map<unsigned, Client> &shardConns,
+                 RequestType type, const std::string &downBody,
+                 const std::function<void(const std::string &)> &use)
+{
+    std::string out = "[";
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+        Shard &shard = *shards_[i];
+        std::string body = downBody;
+        if (shard.up.load(std::memory_order_acquire)) {
+            Client &worker = shardConns[shard.id];
+            try {
+                if (!worker.connected())
+                    worker.connect(shard.addr.host, shard.addr.port);
+                worker.send(adminRequest(
+                    std::string("balancer-") + requestTypeName(type),
+                    type));
+                body = resultBody(
+                    worker.readLine(opts_.shardCallTimeoutMs));
+                use(body);
+            } catch (const std::exception &) {
+                worker.close();
+                markDown(shard);
+                body = downBody;
+            }
+        }
+        out += (i ? ", " : "") + body;
+    }
+    return out + "]";
+}
+
+std::string
 Balancer::mergedMetricsBody(std::map<unsigned, Client> &shardConns)
 {
     // Sum every shard's counters (the fleet-wide view asserted by
     // bench/CI) and keep each shard's full metrics body in a
     // per-shard array so imbalance stays visible.
     std::map<std::string, long long> summed;
-    std::string shardsArr = "[";
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (i)
-            shardsArr += ", ";
-        Shard &shard = *shards_[i];
-        std::string body = "{\"down\": true}";
-        if (shard.up.load(std::memory_order_acquire)) {
-            Client &worker = shardConns[shard.id];
-            try {
-                if (!worker.connected())
-                    worker.connect(shard.addr.host,
-                                   shard.addr.port);
-                worker.send(adminRequest("balancer-metrics",
-                                         RequestType::Metrics));
-                body = resultBody(
-                    worker.readLine(opts_.shardCallTimeoutMs));
-                const json::Value parsed = json::parse(body);
-                if (const json::Value *counters =
-                        parsed.find("counters");
-                    counters && counters->isObject())
-                    for (const auto &[name, value] :
-                         counters->object)
-                        if (value.isNumber())
-                            summed[name] +=
-                                (long long)(value.number);
-            } catch (const std::exception &) {
-                worker.close();
-                markDown(shard);
-                body = "{\"down\": true}";
-            }
-        }
-        shardsArr += body;
-    }
-    shardsArr += "]";
+    const std::string shardsArr = fanOut(
+        shardConns, RequestType::Metrics, "{\"down\": true}",
+        [&](const std::string &body) {
+            const json::Value parsed = json::parse(body);
+            if (const json::Value *counters = parsed.find("counters");
+                counters && counters->isObject())
+                for (const auto &[name, value] : counters->object)
+                    if (value.isNumber())
+                        summed[name] += (long long)(value.number);
+        });
 
     std::string out = "{\"counters\": {";
     bool first = true;
@@ -697,59 +577,31 @@ Balancer::mergedMetricsBody(std::map<unsigned, Client> &shardConns)
 std::string
 Balancer::mergedHealthBody(std::map<unsigned, Client> &shardConns)
 {
-    std::string shardsArr = "[";
-    unsigned up = 0;
     // The balancer advertises the intersection of its shards'
     // supported request types: a type is only usable through the
     // fleet if every live shard can serve it. Older (protocol-v1)
     // workers that predate the "types" field count as the v1
     // baseline set via advertisedTypes().
+    unsigned up = 0;
     std::vector<std::string> types;
-    bool typesSeeded = false;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (i)
-            shardsArr += ", ";
-        Shard &shard = *shards_[i];
-        std::string body = "{\"status\": \"down\"}";
-        if (shard.up.load(std::memory_order_acquire)) {
-            Client &worker = shardConns[shard.id];
-            try {
-                if (!worker.connected())
-                    worker.connect(shard.addr.host,
-                                   shard.addr.port);
-                worker.send(adminRequest("balancer-health",
-                                         RequestType::Health));
-                body = resultBody(
-                    worker.readLine(opts_.shardCallTimeoutMs));
-                ++up;
-                const std::vector<std::string> shardTypes =
-                    advertisedTypes(body);
-                if (!typesSeeded) {
-                    types = shardTypes;
-                    typesSeeded = true;
-                } else {
-                    std::erase_if(types, [&](const std::string &t) {
-                        return std::find(shardTypes.begin(),
-                                         shardTypes.end(),
-                                         t) == shardTypes.end();
-                    });
-                }
-            } catch (const std::exception &) {
-                worker.close();
-                markDown(shard);
-                body = "{\"status\": \"down\"}";
-            }
-        }
-        shardsArr += body;
-    }
-    shardsArr += "]";
+    const std::string shardsArr = fanOut(
+        shardConns, RequestType::Health, "{\"status\": \"down\"}",
+        [&](const std::string &body) {
+            const std::vector<std::string> shardTypes =
+                advertisedTypes(body);
+            if (up++ == 0)
+                types = shardTypes;
+            else
+                std::erase_if(types, [&](const std::string &t) {
+                    return std::find(shardTypes.begin(),
+                                     shardTypes.end(),
+                                     t) == shardTypes.end();
+                });
+        });
 
     std::string typesArr = "[";
-    for (std::size_t i = 0; i < types.size(); ++i) {
-        if (i)
-            typesArr += ", ";
-        typesArr += json::jsonQuote(types[i]);
-    }
+    for (std::size_t i = 0; i < types.size(); ++i)
+        typesArr += (i ? ", " : "") + json::jsonQuote(types[i]);
     typesArr += "]";
 
     std::string out = "{\"status\": ";
@@ -762,44 +614,6 @@ Balancer::mergedHealthBody(std::map<unsigned, Client> &shardConns)
     out += ", \"shards\": " + shardsArr;
     out += "}";
     return out;
-}
-
-void
-Balancer::sendLine(const std::shared_ptr<Connection> &conn,
-                   const std::string &line, bool faultable)
-{
-    std::string framed = line;
-    framed += '\n';
-
-    if (faultable && fault_) {
-        double delayMs = 0;
-        switch (fault_->onComputeReply(delayMs)) {
-          case FaultInjector::SendFault::None:
-            break;
-          case FaultInjector::SendFault::Drop: {
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Truncate: {
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            netio::sendAll(conn->fd, framed.data(),
-                           framed.size() / 2);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Delay:
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(delayMs));
-            break;
-        }
-    }
-
-    std::lock_guard lk(conn->writeMutex);
-    if (!netio::sendAll(conn->fd, framed.data(), framed.size()))
-        conn->open.store(false); // client went away
 }
 
 } // namespace printed::service

@@ -23,8 +23,9 @@
  *     DOWN --probe ok--> UP
  *     probe cadence: capped exponential backoff per shard
  *
- * A request whose primary shard is down (or fails mid-exchange) is
- * re-routed to the next live shard in the key's ring-successor
+ * A request whose primary shard is down, fails mid-exchange, or
+ * answers "shutting_down" (it is draining) is re-routed to the next
+ * live shard in the key's ring-successor
  * order (ShardMap::failoverOrder — exactly the shard that would own
  * the key if the dead one left the ring). Because compute replies
  * are pure functions of the request line, the failover shard's
@@ -43,9 +44,8 @@
  * reap the children on drain.
  *
  * Fault injection: an optional FaultPlan applies to compute frames
- * the balancer relays (drop/truncate/delay/queue_full), reusing the
- * PR 6 machinery so chaos tests can exercise the client's resume
- * path *through* the balancer.
+ * the balancer relays (drop/truncate/delay), so chaos tests can
+ * exercise the client's resume path *through* the balancer.
  */
 
 #ifndef PRINTED_SERVICE_BALANCER_HH
@@ -55,6 +55,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,6 +67,7 @@
 
 #include "service/client.hh"
 #include "service/fault_plan.hh"
+#include "service/line_server.hh"
 #include "service/protocol.hh"
 #include "service/shard_map.hh"
 
@@ -152,7 +154,7 @@ class Balancer
     void start();
 
     /** The bound port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return front_.port(); }
 
     /** Shard count (valid after start()). */
     std::size_t shardCount() const { return shards_.size(); }
@@ -172,7 +174,7 @@ class Balancer
     const BalancerStats &stats() const { return stats_; }
 
   private:
-    struct Connection;
+    using ConnPtr = LineServer::ConnPtr;
 
     /** One worker and its mark-down state. */
     struct Shard
@@ -187,36 +189,41 @@ class Balancer
         std::chrono::steady_clock::time_point nextProbe{};
     };
 
-    void acceptLoop();
-    void readerLoop(std::shared_ptr<Connection> conn);
     void probeLoop();
 
     /**
-     * Handle one request line. `shardConns` is the reader thread's
+     * Handle one request line. `shardConns` is the connection's
      * private cache of worker connections (one reader handles its
      * connection's lines serially, so no locking).
      */
-    void handleLine(const std::shared_ptr<Connection> &conn,
-                    const std::string &line,
+    void handleLine(const ConnPtr &conn, const std::string &line,
                     std::map<unsigned, Client> &shardConns);
 
     /** Route + forward one compute request (failover inside). */
-    void routeCompute(const std::shared_ptr<Connection> &conn,
-                      const Request &req, const std::string &line,
+    void routeCompute(const ConnPtr &conn, const Request &req,
+                      const std::string &line,
                       std::map<unsigned, Client> &shardConns);
 
     /**
      * One forwarding attempt against one shard. Returns true when
      * a final frame was delivered to the client; false on shard
-     * failure (the caller marks it down and fails over).
-     * `forwardedOut` counts partial frames relayed across attempts
-     * (feeds the failover resume_from rewrite).
+     * failure or a draining shard's "shutting_down" (the caller
+     * marks it down and fails over). `forwardedOut` counts partial
+     * frames relayed across attempts (feeds the failover
+     * resume_from rewrite).
      */
     bool forwardAttempt(Shard &shard, Client &worker,
-                        const std::shared_ptr<Connection> &conn,
-                        const Request &req,
+                        const ConnPtr &conn,
                         const std::string &wireLine, bool degraded,
                         std::uint64_t &forwardedOut);
+
+    /** Every shard's `type` result body, as a JSON array in shard
+     *  order. `use` sees each live body; a shard that fails (or whose
+     *  body `use` throws on) is marked down and shows `downBody`. */
+    std::string fanOut(
+        std::map<unsigned, Client> &shardConns, RequestType type,
+        const std::string &downBody,
+        const std::function<void(const std::string &)> &use);
 
     /** Merged fan-out bodies. */
     std::string mergedMetricsBody(
@@ -234,31 +241,19 @@ class Balancer
     void spawnWorker(unsigned index);
     void reapWorkers();
 
-    /** sendLine with the server's fault semantics on relays. */
-    void sendLine(const std::shared_ptr<Connection> &conn,
-                  const std::string &line, bool faultable = false);
-
     void joinEverything();
 
     BalancerOptions opts_;
-    std::uint16_t port_ = 0;
-    int listenFd_ = -1;
+    LineServer front_{"balancer"};
     std::chrono::steady_clock::time_point started_;
 
     std::unique_ptr<ShardMap> ring_;
     std::vector<std::unique_ptr<Shard>> shards_;
     mutable std::mutex probeMutex_; ///< guards nextProbe times
 
-    std::unique_ptr<FaultInjector> fault_;
     BalancerStats stats_;
 
-    std::thread acceptThread_;
     std::thread probeThread_;
-
-    std::mutex connMutex_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-
-    std::atomic<bool> draining_{false};
 
     std::mutex stopMutex_;
     std::condition_variable stopCv_;

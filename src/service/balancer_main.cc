@@ -8,37 +8,17 @@
  * the drain to its workers) and exits 0.
  */
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
-#include <thread>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "service/balancer.hh"
+#include "service/daemon_main.hh"
 
 namespace
 {
-
-int gSignalPipe[2] = {-1, -1};
-
-void
-onSignal(int)
-{
-    const char byte = 1;
-    (void)!::write(gSignalPipe[1], &byte, 1);
-}
-
-unsigned long
-numberArg(int argc, char **argv, int &i, const char *flag)
-{
-    printed::fatalIf(i + 1 >= argc,
-                     std::string(flag) + " needs a value");
-    return std::strtoul(argv[++i], nullptr, 10);
-}
 
 /** "HOST:PORT" -> WorkerAddress (throws on a missing colon). */
 printed::service::WorkerAddress
@@ -49,8 +29,8 @@ parseWorker(const std::string &spec)
                      "--worker needs HOST:PORT, got '" + spec + "'");
     printed::service::WorkerAddress addr;
     addr.host = spec.substr(0, colon);
-    addr.port = std::uint16_t(
-        std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+    addr.port = std::uint16_t(printed::service::parseFlagNumber(
+        "--worker port", spec.substr(colon + 1), 65535));
     return addr;
 }
 
@@ -97,6 +77,10 @@ main(int argc, char **argv)
 {
     using printed::service::Balancer;
     using printed::service::BalancerOptions;
+    using printed::service::flagNumber;
+    using printed::service::flagValue;
+    constexpr auto kUint = std::numeric_limits<unsigned>::max();
+    constexpr auto kSize = std::numeric_limits<std::size_t>::max();
 
     BalancerOptions opts;
     opts.printeddPath = siblingPrintedd(argv[0]);
@@ -106,48 +90,32 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         try {
             if (arg == "--host") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--host needs a value");
-                opts.host = argv[++i];
+                opts.host = flagValue(argc, argv, i);
             } else if (arg == "--port") {
-                opts.port = std::uint16_t(
-                    numberArg(argc, argv, i, "--port"));
+                opts.port = std::uint16_t(flagNumber(argc, argv, i, 65535));
             } else if (arg == "--worker") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--worker needs a value");
-                opts.workers.push_back(parseWorker(argv[++i]));
+                opts.workers.push_back(parseWorker(flagValue(argc, argv, i)));
             } else if (arg == "--shards") {
-                opts.spawnWorkers = unsigned(
-                    numberArg(argc, argv, i, "--shards"));
+                opts.spawnWorkers =
+                    unsigned(flagNumber(argc, argv, i, kUint));
             } else if (arg == "--printedd") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--printedd needs a value");
-                opts.printeddPath = argv[++i];
+                opts.printeddPath = flagValue(argc, argv, i);
             } else if (arg == "--worker-arg") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--worker-arg needs a value");
-                opts.workerArgs.push_back(argv[++i]);
+                opts.workerArgs.push_back(flagValue(argc, argv, i));
             } else if (arg == "--cache-cap") {
                 opts.workerArgs.push_back("--cache-cap");
                 opts.workerArgs.push_back(std::to_string(
-                    numberArg(argc, argv, i, "--cache-cap")));
+                    flagNumber(argc, argv, i, kSize)));
             } else if (arg == "--disk-cache") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--disk-cache needs a value");
                 opts.workerArgs.push_back("--disk-cache");
-                opts.workerArgs.push_back(argv[++i]);
+                opts.workerArgs.push_back(flagValue(argc, argv, i));
             } else if (arg == "--vnodes") {
-                opts.vnodes = unsigned(
-                    numberArg(argc, argv, i, "--vnodes"));
+                opts.vnodes = unsigned(flagNumber(argc, argv, i, kUint));
             } else if (arg == "--fault-plan") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--fault-plan needs a value");
-                opts.faultPlan =
-                    printed::service::FaultPlan::parse(argv[++i]);
+                opts.faultPlan = printed::service::FaultPlan::parse(
+                    flagValue(argc, argv, i));
             } else if (arg == "--trace-out") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--trace-out needs a value");
-                traceOut = argv[++i];
+                traceOut = flagValue(argc, argv, i);
             } else if (arg == "--help" || arg == "-h") {
                 usage();
                 return 0;
@@ -187,28 +155,11 @@ main(int argc, char **argv)
         const std::string host = opts.host;
         Balancer balancer(std::move(opts));
         balancer.start();
-
-        printed::fatalIf(::pipe(gSignalPipe) != 0, "pipe() failed");
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-        std::thread watcher([&balancer] {
-            char byte;
-            if (::read(gSignalPipe[0], &byte, 1) > 0)
-                balancer.beginShutdown();
-        });
-
-        std::printf("printed-balancer listening on %s:%u (%u "
-                    "shards)\n",
-                    host.c_str(), unsigned(balancer.port()),
-                    unsigned(balancer.shardCount()));
-        std::fflush(stdout);
-
-        balancer.wait();
-
-        onSignal(0);
-        watcher.join();
-        ::close(gSignalPipe[0]);
-        ::close(gSignalPipe[1]);
+        printed::service::serveUntilShutdown(
+            balancer, "printed-balancer listening on " + host + ":" +
+                          std::to_string(balancer.port()) + " (" +
+                          std::to_string(balancer.shardCount()) +
+                          " shards)");
     } catch (const printed::FatalError &e) {
         std::fprintf(stderr, "printed-balancer: %s\n", e.what());
         return 1;

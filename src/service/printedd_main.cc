@@ -6,38 +6,18 @@
  * then drains admitted requests and exits 0.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
-#include <thread>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "service/daemon_main.hh"
 #include "service/server.hh"
 
 namespace
 {
-
-int gSignalPipe[2] = {-1, -1};
-
-void
-onSignal(int)
-{
-    const char byte = 1;
-    // Best effort; the pipe is only ever written once meaningfully.
-    (void)!::write(gSignalPipe[1], &byte, 1);
-}
-
-unsigned long
-numberArg(int argc, char **argv, int &i, const char *flag)
-{
-    printed::fatalIf(i + 1 >= argc,
-                     std::string(flag) + " needs a value");
-    return std::strtoul(argv[++i], nullptr, 10);
-}
 
 void
 usage()
@@ -69,8 +49,12 @@ usage()
 int
 main(int argc, char **argv)
 {
+    using printed::service::flagNumber;
+    using printed::service::flagValue;
     using printed::service::Server;
     using printed::service::ServerOptions;
+    constexpr auto kUint = std::numeric_limits<unsigned>::max();
+    constexpr auto kSize = std::numeric_limits<std::size_t>::max();
 
     ServerOptions opts;
     opts.cacheCapacity = 256;
@@ -80,40 +64,28 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         try {
             if (arg == "--host") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--host needs a value");
-                opts.host = argv[++i];
+                opts.host = flagValue(argc, argv, i);
             } else if (arg == "--port") {
-                opts.port = std::uint16_t(
-                    numberArg(argc, argv, i, "--port"));
+                opts.port = std::uint16_t(flagNumber(argc, argv, i, 65535));
             } else if (arg == "--executors") {
-                opts.executors = unsigned(
-                    numberArg(argc, argv, i, "--executors"));
+                opts.executors = unsigned(flagNumber(argc, argv, i, kUint));
             } else if (arg == "--pool-threads") {
-                opts.poolThreads = unsigned(
-                    numberArg(argc, argv, i, "--pool-threads"));
+                opts.poolThreads =
+                    unsigned(flagNumber(argc, argv, i, kUint));
             } else if (arg == "--max-queue") {
-                opts.maxQueue =
-                    numberArg(argc, argv, i, "--max-queue");
+                opts.maxQueue = flagNumber(argc, argv, i, kSize);
             } else if (arg == "--cache-cap") {
-                opts.cacheCapacity =
-                    numberArg(argc, argv, i, "--cache-cap");
+                opts.cacheCapacity = flagNumber(argc, argv, i, kSize);
             } else if (arg == "--disk-cache") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--disk-cache needs a value");
-                opts.diskCacheDir = argv[++i];
+                opts.diskCacheDir = flagValue(argc, argv, i);
             } else if (arg == "--fault-plan") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--fault-plan needs a value");
-                opts.faultPlan =
-                    printed::service::FaultPlan::parse(argv[++i]);
+                opts.faultPlan = printed::service::FaultPlan::parse(
+                    flagValue(argc, argv, i));
             } else if (arg == "--watchdog-ms") {
-                opts.watchdogPeriodMs = double(
-                    numberArg(argc, argv, i, "--watchdog-ms"));
+                opts.watchdogPeriodMs =
+                    double(flagNumber(argc, argv, i, kUint));
             } else if (arg == "--trace-out") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--trace-out needs a value");
-                traceOut = argv[++i];
+                traceOut = flagValue(argc, argv, i);
             } else if (arg == "--help" || arg == "-h") {
                 usage();
                 return 0;
@@ -133,17 +105,13 @@ main(int argc, char **argv)
         printed::trace::enable(traceOut);
     printed::trace::setThreadName("main");
 
-    if (!opts.faultPlan.enabled()) {
-        if (const char *env = std::getenv("PRINTEDD_FAULT_PLAN");
-            env && *env) {
-            try {
-                opts.faultPlan =
-                    printed::service::FaultPlan::parse(env);
-            } catch (const printed::FatalError &e) {
-                std::fprintf(stderr, "printedd: %s\n", e.what());
-                return 2;
-            }
-        }
+    const char *env = std::getenv("PRINTEDD_FAULT_PLAN");
+    try {
+        if (!opts.faultPlan.enabled() && env && *env)
+            opts.faultPlan = printed::service::FaultPlan::parse(env);
+    } catch (const printed::FatalError &e) {
+        std::fprintf(stderr, "printedd: %s\n", e.what());
+        return 2;
     }
     if (opts.faultPlan.enabled())
         std::fprintf(stderr, "printedd: fault plan %s\n",
@@ -152,31 +120,9 @@ main(int argc, char **argv)
     try {
         Server server(opts);
         server.start();
-
-        // Signal -> self-pipe -> watcher thread -> beginShutdown.
-        // (beginShutdown takes locks, so it can't run in the
-        // handler itself.)
-        printed::fatalIf(::pipe(gSignalPipe) != 0,
-                         "pipe() failed");
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-        std::thread watcher([&server] {
-            char byte;
-            if (::read(gSignalPipe[0], &byte, 1) > 0)
-                server.beginShutdown();
-        });
-
-        std::printf("printedd listening on %s:%u\n",
-                    opts.host.c_str(), unsigned(server.port()));
-        std::fflush(stdout);
-
-        server.wait();
-
-        // Unblock the watcher if shutdown came over the wire.
-        onSignal(0);
-        watcher.join();
-        ::close(gSignalPipe[0]);
-        ::close(gSignalPipe[1]);
+        printed::service::serveUntilShutdown(
+            server, "printedd listening on " + opts.host + ":" +
+                        std::to_string(server.port()));
     } catch (const printed::FatalError &e) {
         std::fprintf(stderr, "printedd: %s\n", e.what());
         return 1;

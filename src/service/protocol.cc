@@ -1,5 +1,6 @@
 #include "protocol.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -75,10 +76,7 @@ axisField(const Value &obj, const char *name,
                          "' holds unsupported value " +
                          std::to_string(v));
         // Deduplicate, preserving canonical order below.
-        bool dup = false;
-        for (unsigned seen : out)
-            dup = dup || seen == v;
-        if (!dup)
+        if (std::find(out.begin(), out.end(), v) == out.end())
             out.push_back(v);
     }
     return out;
@@ -113,9 +111,10 @@ configField(const Value &root)
     return cfg;
 }
 
-/** Canonical identity text of a config (every netlist-key field). */
+} // anonymous namespace
+
 std::string
-configKeyText(const CoreConfig &c)
+configKey(const CoreConfig &c)
 {
     std::string out = c.label();
     out += "/f" + std::to_string(c.flagMask);
@@ -128,6 +127,9 @@ configKeyText(const CoreConfig &c)
     out += "g" + std::to_string(c.isa.flagCount);
     return out;
 }
+
+namespace
+{
 
 /** {"fmax_hz":..,"area_cm2":..,"power_mw":..} of one tech. */
 std::string
@@ -164,6 +166,30 @@ kernelFromName(const std::string &name)
     return std::nullopt;
 }
 
+/** Append the entries of a list-of-names field ("cores": ["zpu"])
+ *  to `out`, mapped through `lookup` and deduplicated in order;
+ *  `what` names an entry in the unknown-name error. */
+template <class T, class Lookup>
+void
+nameListField(const Value &obj, const char *name, const char *what,
+              Lookup lookup, std::vector<T> &out)
+{
+    const Value *f = obj.find(name);
+    if (!f)
+        return;
+    fatalIf(!f->isArray(), std::string("request field '") + name +
+                               "' must be an array of strings");
+    for (const Value &e : f->array) {
+        fatalIf(!e.isString(), std::string("request field '") + name +
+                                   "' must hold strings");
+        const auto value = lookup(e.string);
+        fatalIf(!value, std::string("unknown ") + what + " '" +
+                            e.string + "'");
+        if (std::find(out.begin(), out.end(), *value) == out.end())
+            out.push_back(*value);
+    }
+}
+
 /** Parse the optional "iss" object of a sweep request. Defaults are
  *  resolved here (not lazily in grid()) so requestLine() renders a
  *  canonical line and coalesceKey() never distinguishes two
@@ -174,40 +200,14 @@ issField(const Value &obj)
     IssSweepSpec spec;
     fatalIf(!obj.isObject(), "request field 'iss' must be an object");
 
-    if (const Value *cs = obj.find("cores")) {
-        fatalIf(!cs->isArray(),
-                "request field 'cores' must be an array of strings");
-        for (const Value &e : cs->array) {
-            fatalIf(!e.isString(),
-                    "request field 'cores' must hold strings");
-            const auto core = legacy::issCoreFromId(e.string);
-            fatalIf(!core, "unknown legacy core '" + e.string + "'");
-            bool dup = false;
-            for (legacy::LegacyCore seen : spec.cores)
-                dup = dup || seen == *core;
-            if (!dup)
-                spec.cores.push_back(*core);
-        }
-    }
+    nameListField(obj, "cores", "legacy core", legacy::issCoreFromId,
+                  spec.cores);
     if (spec.cores.empty())
         spec.cores.assign(legacy::allLegacyCores.begin(),
                           legacy::allLegacyCores.end());
 
-    if (const Value *ks = obj.find("kernels")) {
-        fatalIf(!ks->isArray(),
-                "request field 'kernels' must be an array of strings");
-        for (const Value &e : ks->array) {
-            fatalIf(!e.isString(),
-                    "request field 'kernels' must hold strings");
-            const auto kernel = kernelFromName(e.string);
-            fatalIf(!kernel, "unknown kernel '" + e.string + "'");
-            bool dup = false;
-            for (Kernel seen : spec.kernels)
-                dup = dup || seen == *kernel;
-            if (!dup)
-                spec.kernels.push_back(*kernel);
-        }
-    }
+    nameListField(obj, "kernels", "kernel", kernelFromName,
+                  spec.kernels);
     if (spec.kernels.empty())
         spec.kernels = {Kernel::Mult, Kernel::Div};
 
@@ -386,6 +386,18 @@ classifySpecMembers(const ml::ClassifySpec &spec)
     return out;
 }
 
+/** {"points": [...]} over the rendered points: the shape of every
+ *  multi-point reply and of a reassembled stream. */
+template <class Point, class Render>
+std::string
+pointsBody(const std::vector<Point> &points, Render render)
+{
+    std::string out = "{\"points\": [";
+    for (std::size_t i = 0; i < points.size(); ++i)
+        out += (i ? ", " : "") + render(points[i]);
+    return out + "]}";
+}
+
 /** One Pareto-front candidate of a classify reply. */
 std::string
 candidateBody(const ml::CandidateReport &c)
@@ -404,39 +416,59 @@ candidateBody(const ml::CandidateReport &c)
 
 } // anonymous namespace
 
+namespace
+{
+
+/** Every request type, in enum order (the health "types" order). */
+constexpr RequestTypeInfo kRequestTypes[] = {
+    {RequestType::Synth, "synth", false, false, 0, nullptr,
+     "service.requests_synth"},
+    {RequestType::Yield, "yield", false, true, 3, "service.shed_yield",
+     "service.requests_yield"},
+    // Sweeps (up to 24 synth points) and whole evolutionary
+    // searches are the heaviest work: shed first.
+    {RequestType::Sweep, "sweep", false, true, 2, "service.shed_sweep",
+     "service.requests_sweep"},
+    {RequestType::Classify, "classify", false, true, 2,
+     "service.shed_classify", "service.requests_classify"},
+    {RequestType::Metrics, "metrics", true, false, 0, nullptr,
+     "service.requests_admin"},
+    {RequestType::Health, "health", true, false, 0, nullptr,
+     "service.requests_admin"},
+    {RequestType::Shutdown, "shutdown", true, false, 0, nullptr,
+     "service.requests_admin"},
+};
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < std::size(kRequestTypes); ++i)
+            if (std::size_t(kRequestTypes[i].type) != i)
+                return false;
+        return true;
+    }(),
+    "kRequestTypes rows must follow RequestType order");
+
+} // anonymous namespace
+
+const RequestTypeInfo &
+requestTypeInfo(RequestType type)
+{
+    return kRequestTypes[std::size_t(type)];
+}
+
 const char *
 requestTypeName(RequestType type)
 {
-    switch (type) {
-      case RequestType::Synth:    return "synth";
-      case RequestType::Yield:    return "yield";
-      case RequestType::Sweep:    return "sweep";
-      case RequestType::Classify: return "classify";
-      case RequestType::Metrics:  return "metrics";
-      case RequestType::Health:   return "health";
-      case RequestType::Shutdown: return "shutdown";
-    }
-    return "?";
+    return requestTypeInfo(type).name;
 }
 
 std::string
 supportedTypesJson()
 {
-    // Enum order, so the health body is stable across builds.
-    static const RequestType kAll[] = {
-        RequestType::Synth,    RequestType::Yield,
-        RequestType::Sweep,    RequestType::Classify,
-        RequestType::Metrics,  RequestType::Health,
-        RequestType::Shutdown,
-    };
-    std::string out = "[";
-    for (std::size_t i = 0; i < std::size(kAll); ++i) {
-        if (i)
-            out += ", ";
-        out += jsonQuote(requestTypeName(kAll[i]));
-    }
-    out += "]";
-    return out;
+    std::string out;
+    for (const RequestTypeInfo &t : kRequestTypes)
+        out += (out.empty() ? "[" : ", ") + jsonQuote(t.name);
+    return out + "]";
 }
 
 std::vector<std::string>
@@ -502,22 +534,14 @@ parseRequest(const std::string &line)
     const Value *type = root.find("type");
     fatalIf(!type || !type->isString(),
             "request needs a string 'type' field");
-    if (type->string == "synth")
-        req.type = RequestType::Synth;
-    else if (type->string == "yield")
-        req.type = RequestType::Yield;
-    else if (type->string == "sweep")
-        req.type = RequestType::Sweep;
-    else if (type->string == "classify")
-        req.type = RequestType::Classify;
-    else if (type->string == "metrics")
-        req.type = RequestType::Metrics;
-    else if (type->string == "health")
-        req.type = RequestType::Health;
-    else if (type->string == "shutdown")
-        req.type = RequestType::Shutdown;
-    else
-        fatal("unknown request type '" + type->string + "'");
+    const auto known =
+        std::find_if(std::begin(kRequestTypes), std::end(kRequestTypes),
+                     [&](const RequestTypeInfo &t) {
+                         return type->string == t.name;
+                     });
+    fatalIf(known == std::end(kRequestTypes),
+            "unknown request type '" + type->string + "'");
+    req.type = known->type;
 
     req.deadlineMs =
         doubleField(root, "deadline_ms", 0, 0, 86400e3);
@@ -528,9 +552,7 @@ parseRequest(const std::string &line)
         req.stream = s->boolean;
     }
     req.resumeFrom = uintField(root, "resume_from", 0, 0, 1 << 20);
-    fatalIf(req.stream && req.type != RequestType::Sweep &&
-                req.type != RequestType::Yield &&
-                req.type != RequestType::Classify,
+    fatalIf(req.stream && !requestTypeInfo(req.type).streams,
             "'stream' is only valid for sweep, yield, and classify "
             "requests");
     fatalIf(req.resumeFrom != 0 && !req.stream,
@@ -574,18 +596,10 @@ parseRequest(const std::string &line)
       case RequestType::Classify:
         req.classify = classifyField(root);
         break;
-      case RequestType::Metrics:
-      case RequestType::Health:
-      case RequestType::Shutdown:
-        break;
+      default:
+        break; // admin requests carry no members
     }
     return req;
-}
-
-std::string
-configKey(const CoreConfig &config)
-{
-    return configKeyText(config);
 }
 
 std::string
@@ -597,7 +611,7 @@ routeKey(const Request &req)
         // Deliberately type-blind: a synth and a yield on the same
         // config share a shard, so one in-memory SynthCache entry
         // serves both.
-        return "cfg|" + configKeyText(req.config);
+        return "cfg|" + configKey(req.config);
       case RequestType::Sweep:
       case RequestType::Classify:
         // The coalesce key omits stream/resume_from, so a resumed
@@ -615,10 +629,10 @@ coalesceKey(const Request &req)
     key += "|";
     switch (req.type) {
       case RequestType::Synth:
-        key += configKeyText(req.config);
+        key += configKey(req.config);
         break;
       case RequestType::Yield:
-        key += configKeyText(req.config);
+        key += configKey(req.config);
         key += "|t" + std::to_string(req.trials);
         key += "r" + std::to_string(req.replicas);
         key += "s" + std::to_string(req.seed);
@@ -685,14 +699,7 @@ yieldBody(const CoreConfig &config,
 std::string
 sweepBody(const std::vector<DesignPoint> &points)
 {
-    std::string out = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += synthBody(points[i]);
-    }
-    out += "]}";
-    return out;
+    return pointsBody(points, synthBody);
 }
 
 std::string
@@ -720,14 +727,7 @@ issPointBody(const IssSweepPoint &point)
 std::string
 issSweepBody(const std::vector<IssSweepPoint> &points)
 {
-    std::string out = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += issPointBody(points[i]);
-    }
-    out += "]}";
-    return out;
+    return pointsBody(points, issPointBody);
 }
 
 std::string
@@ -777,16 +777,31 @@ classifyBody(const ml::ClassifyResult &result)
     return out;
 }
 
+namespace
+{
+
+/// Exact head shared by ok replies, partial and done frames. Keeping
+/// the rendering in one place is what makes classifyFrame's
+/// byte-exact point extraction safe: the only unescaped `"point": `
+/// in a partial frame is the structural one (jsonQuote
+/// backslash-escapes quotes inside the id).
 std::string
-okReply(const std::string &id, RequestType type,
-        const std::string &resultBody)
+okHead(const std::string &id, RequestType type)
 {
     std::string out = "{\"id\": ";
     out += jsonQuote(id);
     out += ", \"ok\": true, \"type\": ";
     out += jsonQuote(requestTypeName(type));
-    out += ", \"result\": " + resultBody + "}";
     return out;
+}
+
+} // anonymous namespace
+
+std::string
+okReply(const std::string &id, RequestType type,
+        const std::string &resultBody)
+{
+    return okHead(id, type) + ", \"result\": " + resultBody + "}";
 }
 
 std::string
@@ -804,33 +819,15 @@ errorReply(const std::string &id, const char *code,
 std::string
 queueFullReply(const std::string &id, double retryAfterMs)
 {
-    std::string out = "{\"id\": ";
-    out += jsonQuote(id);
-    out += ", \"ok\": false, \"error\": ";
-    out += jsonQuote(errc::queueFull);
-    out += ", \"message\": \"admission queue is full\"";
-    out += ", \"retry_after_ms\": " + formatDouble(retryAfterMs);
-    out += "}";
-    return out;
+    std::string out =
+        errorReply(id, errc::queueFull, "admission queue is full");
+    out.pop_back(); // reopen the object for the hint
+    return out + ", \"retry_after_ms\": " + formatDouble(retryAfterMs) +
+           "}";
 }
 
 namespace
 {
-
-/// Exact head shared by partial and done frames. Keeping the
-/// rendering in one place is what makes classifyFrame's byte-exact
-/// point extraction safe: the only unescaped `"point": ` in a
-/// partial frame is the structural one (jsonQuote backslash-escapes
-/// quotes inside the id).
-std::string
-streamFrameHead(const std::string &id, RequestType type)
-{
-    std::string out = "{\"id\": ";
-    out += jsonQuote(id);
-    out += ", \"ok\": true, \"type\": ";
-    out += jsonQuote(requestTypeName(type));
-    return out;
-}
 
 constexpr const char *kPointMarker = ", \"point\": ";
 
@@ -841,7 +838,7 @@ partialFrame(const std::string &id, RequestType type,
              std::uint64_t index, std::uint64_t total,
              const std::string &pointBody)
 {
-    std::string out = streamFrameHead(id, type);
+    std::string out = okHead(id, type);
     out += ", \"partial\": {\"index\": " + std::to_string(index);
     out += ", \"total\": " + std::to_string(total);
     out += kPointMarker + pointBody;
@@ -853,7 +850,7 @@ std::string
 doneFrame(const std::string &id, RequestType type,
           std::uint64_t points)
 {
-    std::string out = streamFrameHead(id, type);
+    std::string out = okHead(id, type);
     out += ", \"done\": {\"points\": " + std::to_string(points);
     out += "}}";
     return out;
@@ -871,8 +868,11 @@ classifyFrame(const std::string &line)
         frame.id = id->string;
 
     const Value *ok = root.find("ok");
-    if (!ok || !ok->isBool() || !ok->boolean)
+    if (!ok || !ok->isBool() || !ok->boolean) {
+        if (const Value *e = root.find("error"); e && e->isString())
+            frame.error = e->string;
         return frame; // errors always end the exchange
+    }
 
     if (const Value *p = root.find("partial"); p && p->isObject()) {
         const Value *index = p->find("index");
@@ -916,16 +916,11 @@ assembleStreamedReply(const std::string &id, RequestType type,
     fatalIf(type != RequestType::Sweep &&
                 type != RequestType::Classify,
             "only sweep, yield, and classify replies stream");
-    // Exactly sweepBody()/classifyBody(), over pre-rendered point
-    // bodies.
-    std::string body = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            body += ", ";
-        body += points[i];
-    }
-    body += "]}";
-    return okReply(id, type, body);
+    // Exactly sweepBody()/classifyBody(), over pre-rendered points.
+    return okReply(id, type,
+                   pointsBody(points, [](const std::string &p) {
+                       return p;
+                   }));
 }
 
 std::string
@@ -941,21 +936,6 @@ markDegraded(const std::string &line)
 namespace
 {
 
-/** Common head of a compute request: id, type, deadline, config. */
-std::string
-requestHead(const std::string &id, const char *type,
-            double deadlineMs)
-{
-    std::string out = "{\"id\": ";
-    out += jsonQuote(id);
-    out += ", \"type\": \"";
-    out += type;
-    out += "\"";
-    if (deadlineMs > 0)
-        out += ", \"deadline_ms\": " + formatDouble(deadlineMs);
-    return out;
-}
-
 std::string
 configBody(const CoreConfig &c)
 {
@@ -970,74 +950,29 @@ configBody(const CoreConfig &c)
     return out;
 }
 
-} // anonymous namespace
-
-std::string
-synthRequest(const std::string &id, const CoreConfig &config,
-             double deadlineMs)
-{
-    return requestHead(id, "synth", deadlineMs) +
-           ", \"config\": " + configBody(config) + "}";
-}
-
-std::string
-yieldRequest(const std::string &id, const CoreConfig &config,
-             unsigned trials, std::uint64_t seed, unsigned replicas,
-             double deadlineMs)
-{
-    std::string out = requestHead(id, "yield", deadlineMs);
-    out += ", \"config\": " + configBody(config);
-    out += ", \"trials\": " + std::to_string(trials);
-    out += ", \"seed\": " + std::to_string(seed);
-    out += ", \"replicas\": " + std::to_string(replicas);
-    out += "}";
-    return out;
-}
-
-std::string
-sweepRequest(const std::string &id, const SweepSpec &spec,
-             double deadlineMs)
-{
-    std::string out = requestHead(id, "sweep", deadlineMs);
-    out += ", \"stages\": " + joinAxis(spec.stages);
-    out += ", \"widths\": " + joinAxis(spec.widths);
-    out += ", \"bars\": " + joinAxis(spec.bars);
-    out += "}";
-    return out;
-}
-
-std::string
-issSweepRequest(const std::string &id, const IssSweepSpec &spec,
-                double deadlineMs)
+/** A request with the fields every builder sets. */
+Request
+newRequest(const std::string &id, RequestType type, double deadlineMs,
+           bool stream = false, std::uint64_t resumeFrom = 0)
 {
     Request req;
     req.id = id;
-    req.type = RequestType::Sweep;
-    req.hasIss = true;
-    req.iss = spec;
+    req.type = type;
     req.deadlineMs = deadlineMs;
-    // Round-trip through the canonical renderer so defaults (empty
-    // core/kernel lists) are resolved the same way parseRequest
-    // resolves them.
-    if (req.iss.cores.empty())
-        req.iss.cores.assign(legacy::allLegacyCores.begin(),
-                             legacy::allLegacyCores.end());
-    if (req.iss.kernels.empty())
-        req.iss.kernels = {Kernel::Mult, Kernel::Div};
-    return requestLine(req);
+    req.stream = stream;
+    req.resumeFrom = resumeFrom;
+    return req;
 }
 
-std::string
-adminRequest(const std::string &id, RequestType type)
-{
-    return requestHead(id, requestTypeName(type), 0) + "}";
-}
+} // anonymous namespace
 
 std::string
 requestLine(const Request &req)
 {
-    std::string out =
-        requestHead(req.id, requestTypeName(req.type), req.deadlineMs);
+    std::string out = "{\"id\": " + jsonQuote(req.id) + ", \"type\": \"" +
+                      requestTypeName(req.type) + "\"";
+    if (req.deadlineMs > 0)
+        out += ", \"deadline_ms\": " + formatDouble(req.deadlineMs);
     switch (req.type) {
       case RequestType::Synth:
         out += ", \"config\": " + configBody(req.config);
@@ -1062,10 +997,8 @@ requestLine(const Request &req)
       case RequestType::Classify:
         out += classifySpecMembers(req.classify);
         break;
-      case RequestType::Metrics:
-      case RequestType::Health:
-      case RequestType::Shutdown:
-        break;
+      default:
+        break; // admin requests carry no members
     }
     if (req.stream) {
         out += ", \"stream\": true";
@@ -1076,43 +1009,24 @@ requestLine(const Request &req)
 }
 
 std::string
-classifyRequest(const std::string &id, const ml::ClassifySpec &spec,
-                double deadlineMs)
+synthRequest(const std::string &id, const CoreConfig &config,
+             double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Classify;
-    req.classify = spec;
-    req.deadlineMs = deadlineMs;
+    Request req = newRequest(id, RequestType::Synth, deadlineMs);
+    req.config = config;
     return requestLine(req);
 }
 
 std::string
-classifyStreamRequest(const std::string &id,
-                      const ml::ClassifySpec &spec,
-                      std::uint64_t resumeFrom, double deadlineMs)
+yieldRequest(const std::string &id, const CoreConfig &config,
+             unsigned trials, std::uint64_t seed, unsigned replicas,
+             double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Classify;
-    req.classify = spec;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
-    return requestLine(req);
-}
-
-std::string
-sweepStreamRequest(const std::string &id, const SweepSpec &spec,
-                   std::uint64_t resumeFrom, double deadlineMs)
-{
-    Request req;
-    req.id = id;
-    req.type = RequestType::Sweep;
-    req.sweep = spec;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
+    Request req = newRequest(id, RequestType::Yield, deadlineMs);
+    req.config = config;
+    req.trials = trials;
+    req.seed = seed;
+    req.replicas = replicas;
     return requestLine(req);
 }
 
@@ -1122,17 +1036,75 @@ yieldStreamRequest(const std::string &id, const CoreConfig &config,
                    unsigned replicas, std::uint64_t resumeFrom,
                    double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Yield;
+    Request req = newRequest(id, RequestType::Yield, deadlineMs,
+                             /*stream=*/true, resumeFrom);
     req.config = config;
     req.trials = trials;
     req.seed = seed;
     req.replicas = replicas;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
     return requestLine(req);
+}
+
+std::string
+sweepRequest(const std::string &id, const SweepSpec &spec,
+             double deadlineMs)
+{
+    Request req = newRequest(id, RequestType::Sweep, deadlineMs);
+    req.sweep = spec;
+    return requestLine(req);
+}
+
+std::string
+sweepStreamRequest(const std::string &id, const SweepSpec &spec,
+                   std::uint64_t resumeFrom, double deadlineMs)
+{
+    Request req = newRequest(id, RequestType::Sweep, deadlineMs,
+                             /*stream=*/true, resumeFrom);
+    req.sweep = spec;
+    return requestLine(req);
+}
+
+std::string
+issSweepRequest(const std::string &id, const IssSweepSpec &spec,
+                double deadlineMs)
+{
+    Request req = newRequest(id, RequestType::Sweep, deadlineMs);
+    req.hasIss = true;
+    req.iss = spec;
+    // Resolve defaults (empty core/kernel lists) the way
+    // parseRequest resolves them, so the line is canonical.
+    if (req.iss.cores.empty())
+        req.iss.cores.assign(legacy::allLegacyCores.begin(),
+                             legacy::allLegacyCores.end());
+    if (req.iss.kernels.empty())
+        req.iss.kernels = {Kernel::Mult, Kernel::Div};
+    return requestLine(req);
+}
+
+std::string
+classifyRequest(const std::string &id, const ml::ClassifySpec &spec,
+                double deadlineMs)
+{
+    Request req = newRequest(id, RequestType::Classify, deadlineMs);
+    req.classify = spec;
+    return requestLine(req);
+}
+
+std::string
+classifyStreamRequest(const std::string &id,
+                      const ml::ClassifySpec &spec,
+                      std::uint64_t resumeFrom, double deadlineMs)
+{
+    Request req = newRequest(id, RequestType::Classify, deadlineMs,
+                             /*stream=*/true, resumeFrom);
+    req.classify = spec;
+    return requestLine(req);
+}
+
+std::string
+adminRequest(const std::string &id, RequestType type)
+{
+    return requestLine(newRequest(id, type, 0));
 }
 
 } // namespace printed::service

@@ -141,6 +141,21 @@ enum class RequestType
     Shutdown,
 };
 
+/** The facts of one request type: one row of a static table. */
+struct RequestTypeInfo
+{
+    RequestType type;
+    const char *name;            ///< wire name ("synth", ...)
+    bool admin;                  ///< answered inline, never queued
+    bool streams;                ///< may carry "stream": true
+    unsigned shedQuarters; ///< shed at this many quarters of the queue
+    const char *shedCounter;     ///< null: shed only when full
+    const char *requestsCounter; ///< "service.requests_*"
+};
+
+/** The table row of a request type. */
+const RequestTypeInfo &requestTypeInfo(RequestType type);
+
 /** Protocol name of a request type ("synth", "yield", ...). */
 const char *requestTypeName(RequestType type);
 
@@ -324,6 +339,7 @@ struct StreamFrame
     std::uint64_t total = 0;  ///< Partial: total points in stream
     std::uint64_t points = 0; ///< Done: partials the server sent
     std::string pointBody; ///< Partial: exact body bytes
+    std::string error;     ///< Final error reply: its errc code
 };
 
 /**

@@ -1,21 +1,11 @@
 #include "server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "common/json_min.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "common/trace.hh"
 #include "dse/sweep.hh"
-#include "service/net_io.hh"
 #include "synth/cache.hh"
 #include "synth/disk_cache.hh"
 
@@ -51,15 +41,6 @@ nowNs()
 
 } // anonymous namespace
 
-/** One client connection: socket, reader thread, write lock. */
-struct Server::Connection
-{
-    int fd = -1;
-    std::mutex writeMutex;
-    std::thread reader;
-    std::atomic<bool> open{true};
-};
-
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
       pool_(opts_.poolThreads)
@@ -88,38 +69,11 @@ Server::start()
                 mixSeed(opts_.faultPlan.seed, i));
         SynthCache::global().setDiskTier(installedDisk_);
     }
-    if (opts_.faultPlan.enabled())
-        fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
-
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(listenFd_ < 0, std::string("socket(): ") +
-                               std::strerror(errno));
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opts_.port);
-    fatalIf(::inet_pton(AF_INET, opts_.host.c_str(),
-                        &addr.sin_addr) != 1,
-            "bad listen address '" + opts_.host + "'");
-    fatalIf(::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0,
-            std::string("bind(): ") + std::strerror(errno));
-    fatalIf(::listen(listenFd_, 64) != 0,
-            std::string("listen(): ") + std::strerror(errno));
-
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                  &len);
-    port_ = ntohs(bound.sin_port);
-
-    acceptThread_ = std::thread([this] {
-        trace::setThreadName("service-accept");
-        acceptLoop();
-    });
+    front_.start(opts_.host, opts_.port, opts_.maxRequestBytes,
+                 opts_.faultPlan, [this] {
+                     return LineServer::Session(
+                         std::bind_front(&Server::handleLine, this));
+                 });
     const unsigned executors = opts_.executors ? opts_.executors : 1;
     executorCount_ = executors;
     execSlots_ = std::make_unique<ExecSlot[]>(executors);
@@ -144,6 +98,7 @@ Server::beginShutdown()
         finishing_ = true;
     }
     queueCv_.notify_all();
+    front_.refuseNew();
     {
         std::lock_guard lk(stopMutex_);
         stopRequested_ = true;
@@ -167,12 +122,8 @@ Server::wait()
 void
 Server::joinEverything()
 {
-    // 1. Stop accepting connections. shutdown() unblocks the
-    //    accept(2) in acceptLoop.
-    if (listenFd_ >= 0)
-        ::shutdown(listenFd_, SHUT_RDWR);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
+    // 1. Stop accepting connections.
+    front_.stopAccepting();
 
     // 2. Drain: executors finish every admitted request (finishing_
     //    is already set, so they exit once the queue is empty).
@@ -188,23 +139,8 @@ Server::joinEverything()
     if (watchdog_.joinable())
         watchdog_.join();
 
-    // 3. Hang up: readers see EOF and exit; then close sockets.
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard lk(connMutex_);
-        conns.swap(conns_);
-    }
-    for (const auto &c : conns)
-        ::shutdown(c->fd, SHUT_RD);
-    for (const auto &c : conns) {
-        if (c->reader.joinable())
-            c->reader.join();
-        ::close(c->fd);
-    }
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // 3. Hang up: readers see EOF and exit.
+    front_.hangUp();
 
     // 4. Detach the disk tier we installed (only ours: a test may
     //    have swapped in its own since).
@@ -216,78 +152,7 @@ Server::joinEverything()
 }
 
 void
-Server::acceptLoop()
-{
-    for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listen socket shut down
-        }
-        {
-            std::lock_guard lk(queueMutex_);
-            if (finishing_) {
-                ::close(fd);
-                continue;
-            }
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-        metrics::counter("service.connections").add(1);
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard lk(connMutex_);
-            conns_.push_back(conn);
-        }
-        conn->reader = std::thread([this, conn] {
-            trace::setThreadName("service-reader");
-            readerLoop(conn);
-        });
-    }
-}
-
-void
-Server::readerLoop(std::shared_ptr<Connection> conn)
-{
-    std::string buffer;
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n =
-            netio::recvSome(conn->fd, chunk, sizeof(chunk));
-        if (n <= 0)
-            break; // EOF, error, or shutdown(SHUT_RD)
-        buffer.append(chunk, std::size_t(n));
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t nl = buffer.find('\n', start);
-            if (nl == std::string::npos)
-                break;
-            std::string line =
-                buffer.substr(start, nl - start);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            start = nl + 1;
-            if (!line.empty())
-                handleLine(conn, line);
-        }
-        buffer.erase(0, start);
-        if (buffer.size() > opts_.maxRequestBytes) {
-            sendLine(conn,
-                     errorReply("", errc::parseError,
-                                "request line too long"));
-            break;
-        }
-    }
-    conn->open.store(false);
-}
-
-void
-Server::handleLine(const std::shared_ptr<Connection> &conn,
-                   const std::string &line)
+Server::handleLine(const ConnPtr &conn, const std::string &line)
 {
     metrics::counter("service.requests").add(1);
 
@@ -296,41 +161,29 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
         req = parseRequest(line);
     } catch (const json::ParseError &e) {
         metrics::counter("service.parse_errors").add(1);
-        sendLine(conn, errorReply("", errc::parseError, e.what()));
+        front_.sendLine(conn,
+                        errorReply("", errc::parseError, e.what()));
         return;
     } catch (const FatalError &e) {
         metrics::counter("service.parse_errors").add(1);
-        sendLine(conn, errorReply("", errc::badRequest, e.what()));
+        front_.sendLine(conn,
+                        errorReply("", errc::badRequest, e.what()));
         return;
     }
 
-    switch (req.type) {
-      case RequestType::Metrics:
-        metrics::counter("service.requests_admin").add(1);
-        sendLine(conn, okReply(req.id, req.type, metricsBody()));
+    const RequestTypeInfo &info = requestTypeInfo(req.type);
+    metrics::counter(info.requestsCounter).add(1);
+    if (info.admin) {
+        const bool shutdown = req.type == RequestType::Shutdown;
+        front_.sendLine(
+            conn, okReply(req.id, req.type,
+                          shutdown ? "{\"draining\": true}"
+                          : req.type == RequestType::Metrics
+                              ? metricsBody()
+                              : healthBody()));
+        if (shutdown)
+            beginShutdown();
         return;
-      case RequestType::Health:
-        metrics::counter("service.requests_admin").add(1);
-        sendLine(conn, okReply(req.id, req.type, healthBody()));
-        return;
-      case RequestType::Shutdown:
-        metrics::counter("service.requests_admin").add(1);
-        sendLine(conn, okReply(req.id, req.type,
-                               "{\"draining\": true}"));
-        beginShutdown();
-        return;
-      case RequestType::Synth:
-        metrics::counter("service.requests_synth").add(1);
-        break;
-      case RequestType::Yield:
-        metrics::counter("service.requests_yield").add(1);
-        break;
-      case RequestType::Sweep:
-        metrics::counter("service.requests_sweep").add(1);
-        break;
-      case RequestType::Classify:
-        metrics::counter("service.requests_classify").add(1);
-        break;
     }
 
     Task task;
@@ -346,78 +199,54 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
                     task.req.deadlineMs));
     }
 
-    const std::string id = task.req.id;
-
     // Injected overload: reject an admissible compute request as if
     // the queue were full (chaos for the client's retry path).
-    if (fault_ && fault_->forceQueueFull()) {
+    if (front_.fault() && front_.fault()->forceQueueFull()) {
         metrics::counter("service.rejected").add(1);
-        sendLine(conn, queueFullReply(id, 10));
+        front_.sendLine(conn, queueFullReply(task.req.id, 10));
         return;
     }
 
-    double retryAfterMs = 0;
-    switch (admit(std::move(task), retryAfterMs)) {
-      case Admit::Ok:
-        return;
-      case Admit::QueueFull:
-        metrics::counter("service.rejected").add(1);
-        sendLine(conn, queueFullReply(id, retryAfterMs));
-        return;
-      case Admit::ShuttingDown:
-        sendLine(conn, errorReply(id, errc::shuttingDown,
-                                  "server is draining"));
-        return;
-    }
+    if (const auto rejection = admit(std::move(task)))
+        front_.sendLine(conn, *rejection);
 }
 
-Server::Admit
-Server::admit(Task task, double &retryAfterMsOut)
+std::optional<std::string>
+Server::admit(Task task)
 {
     // Shed by class before the queue is truly full: sweeps (the
     // heaviest requests, up to 24 synth points each) above 50%
     // depth, yields above 75%, synths only at capacity. Cheap
     // requests keep flowing while expensive ones are pushed back.
     const std::size_t cap = opts_.maxQueue;
-    std::size_t limit = cap;
-    const char *shedCounter = nullptr;
-    switch (task.req.type) {
-      case RequestType::Sweep:
-        limit = std::max<std::size_t>(1, cap / 2);
-        shedCounter = "service.shed_sweep";
-        break;
-      case RequestType::Classify:
-        // Whole evolutionary searches are sweep-class work.
-        limit = std::max<std::size_t>(1, cap / 2);
-        shedCounter = "service.shed_classify";
-        break;
-      case RequestType::Yield:
-        limit = std::max<std::size_t>(1, cap * 3 / 4);
-        shedCounter = "service.shed_yield";
-        break;
-      default:
-        break;
-    }
+    const RequestTypeInfo &info = requestTypeInfo(task.req.type);
+    const char *shedCounter = info.shedCounter;
+    const std::size_t limit =
+        shedCounter ? std::max<std::size_t>(
+                          1, cap * info.shedQuarters / 4)
+                    : cap;
     std::size_t depth;
     {
         std::lock_guard lk(queueMutex_);
         if (finishing_)
-            return Admit::ShuttingDown;
+            return errorReply(task.req.id, errc::shuttingDown,
+                              "server is draining");
         depth = queue_.size();
-        if (depth >= limit) {
-            if (shedCounter && depth < cap)
-                metrics::counter(shedCounter).add(1);
-            // Backoff hint grows with depth: 5 ms near the shed
-            // threshold up to 50 ms at a saturated queue (a zero
-            // capacity is always "saturated").
-            retryAfterMsOut =
-                cap ? 5 + 45.0 * double(depth) / double(cap) : 50;
-            return Admit::QueueFull;
-        }
-        queue_.push_back(std::move(task));
+        if (depth < limit)
+            queue_.push_back(std::move(task));
     }
-    queueCv_.notify_one();
-    return Admit::Ok;
+    if (depth < limit) {
+        queueCv_.notify_one();
+        return std::nullopt;
+    }
+    if (shedCounter && depth < cap)
+        metrics::counter(shedCounter).add(1);
+    metrics::counter("service.rejected").add(1);
+    // Backoff hint grows with depth: 5 ms near the shed threshold up
+    // to 50 ms at a saturated queue (a zero capacity is always
+    // "saturated").
+    return queueFullReply(
+        task.req.id, cap ? 5 + 45.0 * double(depth) / double(cap) : 50);
 }
 
 void
@@ -492,197 +321,124 @@ Server::execute(Task &task, unsigned slot)
     mySlot.startNs.store(nowNs(), std::memory_order_release);
 
     const Clock::time_point execStart = Clock::now();
-    if (task.req.stream) {
-        streamTask(task);
-    } else {
-        std::string reply;
-        try {
-            if (task.hasDeadline && Clock::now() > task.deadline)
-                throw DeadlineError();
+    std::string reply; // the monolithic reply, or a stream's error
+    try {
+        if (task.req.stream)
+            metrics::counter("service.stream_requests").add(1);
+        if (task.hasDeadline && Clock::now() > task.deadline)
+            throw DeadlineError();
+        bool answered = true;
+        if (task.req.stream)
+            answered = streamTask(task);
+        else
             reply = okReply(task.req.id, task.req.type,
                             coalesced(task));
+        if (answered)
             metrics::counter("service.replies_ok").add(1);
-        } catch (const DeadlineError &) {
-            metrics::counter("service.deadline_exceeded").add(1);
-            metrics::counter("service.replies_error").add(1);
-            reply = errorReply(task.req.id, errc::deadlineExceeded,
-                               "deadline of " +
-                                   formatDouble(task.req.deadlineMs) +
-                                   " ms expired");
-        } catch (const std::exception &e) {
-            metrics::counter("service.replies_error").add(1);
-            reply = errorReply(task.req.id, errc::internalError,
-                               e.what());
-        }
-        sendLine(task.conn, reply, /*faultable=*/true);
+    } catch (const DeadlineError &) {
+        metrics::counter("service.deadline_exceeded").add(1);
+        metrics::counter("service.replies_error").add(1);
+        reply = errorReply(task.req.id, errc::deadlineExceeded,
+                           "deadline of " +
+                               formatDouble(task.req.deadlineMs) +
+                               " ms expired");
+    } catch (const std::exception &e) {
+        // A stream's resume_from past its end is the client's error.
+        const bool badRequest =
+            task.req.stream && dynamic_cast<const FatalError *>(&e);
+        metrics::counter("service.replies_error").add(1);
+        reply = errorReply(task.req.id,
+                           badRequest ? errc::badRequest
+                                      : errc::internalError,
+                           e.what());
     }
+    if (!reply.empty())
+        front_.sendLine(task.conn, reply, /*faultable=*/true);
     metrics::distribution("service.exec_ms")
         .record(millisSince(execStart));
     mySlot.startNs.store(0, std::memory_order_release);
     mySlot.deadlineNs.store(0, std::memory_order_release);
 }
 
-void
-Server::streamTask(Task &task)
+bool
+Server::streamTask(const Task &task)
 {
-    metrics::counter("service.stream_requests").add(1);
     const Request &req = task.req;
-    try {
+    const auto partial = [&](std::uint64_t index, std::uint64_t total,
+                             const std::string &body) {
+        front_.sendLine(task.conn,
+                        partialFrame(req.id, req.type, index, total,
+                                     body),
+                        /*faultable=*/true);
+        metrics::counter("service.stream_partials").add(1);
+    };
+    const auto done = [&](std::uint64_t total) {
+        front_.sendLine(task.conn, doneFrame(req.id, req.type, total),
+                        /*faultable=*/true);
+        return true;
+    };
+
+    if (req.type == RequestType::Sweep) {
+        // Points are evaluated sequentially so the first frame
+        // reaches the client while the rest still compute. Each body
+        // is byte-identical to its entry in the monolithic reply
+        // (evaluation is deterministic, and ISS results are engine-
+        // and thread-count-invariant), which is what makes stream
+        // reassembly byte-exact. Streams skip request-level
+        // coalescing — each synth point still dedupes through the
+        // SynthCache.
+        const auto total = sweepPoints(task, partial);
+        return total && done(*total);
+    }
+
+    if (req.type == RequestType::Classify) {
+        // Points 0..G-1 are per-generation summaries, point G is the
+        // Pareto front. Search results are thread-count- and
+        // engine-invariant by construction, so a single-thread pool
+        // here emits frames byte-identical to the pooled monolithic
+        // classifyBody() while the shared pool stays free for queued
+        // compute. Streams skip request-level coalescing — repeated
+        // specs still dedupe through the classify result cache.
+        const std::uint64_t total = req.classify.search.generations + 1;
+        fatalIf(req.resumeFrom > total,
+                "resume_from " + std::to_string(req.resumeFrom) +
+                    " is past the classify's " + std::to_string(total) +
+                    " points");
+        struct ClientGone {};
+        ThreadPool local(1);
+        std::shared_ptr<const ml::ClassifyResult> result;
+        try {
+            result = ml::runClassifyCached(
+                req.classify, local, [&](const ml::GenerationReport &g) {
+                    if (task.hasDeadline && Clock::now() > task.deadline)
+                        throw DeadlineError();
+                    if (!task.conn->open.load())
+                        throw ClientGone{};
+                    if (g.generation >= req.resumeFrom)
+                        partial(g.generation, total,
+                                classifyGenerationBody(g));
+                });
+        } catch (const ClientGone &) {
+            return false; // client is gone: stop computing
+        }
         if (task.hasDeadline && Clock::now() > task.deadline)
             throw DeadlineError();
-
-        if (req.type == RequestType::Sweep && req.hasIss) {
-            const auto grid = req.iss.grid();
-            const std::uint64_t total = grid.size();
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the sweep's " +
-                        std::to_string(total) + " points");
-            // One frame per (core, kernel) grid point, sequentially,
-            // mirroring the synth-sweep stream below. Single-thread
-            // evaluation here is still byte-identical to the pooled
-            // monolithic body: ISS results are engine- and
-            // thread-count-invariant by construction.
-            for (std::uint64_t i = req.resumeFrom; i < total; ++i) {
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                const auto &[core, kernel] = grid[std::size_t(i)];
-                const std::string body = issPointBody(
-                    evaluateIssPoint(core, kernel, req.iss));
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, i, total,
-                                      body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, total),
-                     /*faultable=*/true);
-        } else if (req.type == RequestType::Sweep) {
-            const std::vector<CoreConfig> configs =
-                req.sweep.configs();
-            const std::uint64_t total = configs.size();
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the sweep's " +
-                        std::to_string(total) + " points");
-            // Points are evaluated sequentially so the first frame
-            // reaches the client while the rest still compute. Each
-            // body is byte-identical to its entry in the monolithic
-            // sweepBody() (evaluation is deterministic), which is
-            // what makes stream reassembly byte-exact. Streams skip
-            // request-level coalescing — each point still dedupes
-            // through the SynthCache.
-            for (std::uint64_t i = req.resumeFrom; i < total; ++i) {
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                const std::string body = synthBody(
-                    evaluateDesignPoint(configs[std::size_t(i)]));
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, i, total,
-                                      body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, total),
-                     /*faultable=*/true);
-        } else if (req.type == RequestType::Classify) {
-            // Classify: points 0..G-1 are per-generation summaries,
-            // point G is the Pareto front. Search results are
-            // thread-count- and engine-invariant by construction, so
-            // a single-thread pool here emits frames byte-identical
-            // to the pooled monolithic classifyBody() while the
-            // shared pool stays free for queued compute. Streams
-            // skip request-level coalescing — repeated specs still
-            // dedupe through the classify result cache.
-            const std::uint64_t total =
-                req.classify.search.generations + 1;
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the classify's " +
-                        std::to_string(total) + " points");
-            struct ClientGone {};
-            ThreadPool local(1);
-            try {
-                const auto result = ml::runClassifyCached(
-                    req.classify, local,
-                    [&](const ml::GenerationReport &gen) {
-                        if (task.hasDeadline &&
-                            Clock::now() > task.deadline)
-                            throw DeadlineError();
-                        if (!task.conn->open.load())
-                            throw ClientGone{};
-                        if (gen.generation < req.resumeFrom)
-                            return;
-                        sendLine(task.conn,
-                                 partialFrame(
-                                     req.id, req.type,
-                                     gen.generation, total,
-                                     classifyGenerationBody(gen)),
-                                 /*faultable=*/true);
-                        metrics::counter("service.stream_partials")
-                            .add(1);
-                    });
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                if (total - 1 >= req.resumeFrom) {
-                    sendLine(task.conn,
-                             partialFrame(req.id, req.type,
-                                          total - 1, total,
-                                          classifyFrontBody(*result)),
-                             /*faultable=*/true);
-                    metrics::counter("service.stream_partials")
-                        .add(1);
-                }
-                sendLine(task.conn,
-                         doneFrame(req.id, req.type, total),
-                         /*faultable=*/true);
-            } catch (const ClientGone &) {
-                return; // client is gone: stop computing
-            }
-        } else {
-            // Yield: a one-point stream carrying the full body, so
-            // the client's resume rule is uniform across streamed
-            // types. resume_from 1 means the client already holds
-            // the point — answer done without recomputing.
-            fatalIf(req.resumeFrom > 1,
-                    "resume_from is past the yield's single point");
-            if (req.resumeFrom == 0) {
-                const std::string body = coalesced(task);
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, 0, 1, body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, 1),
-                     /*faultable=*/true);
-        }
-        metrics::counter("service.replies_ok").add(1);
-    } catch (const DeadlineError &) {
-        metrics::counter("service.deadline_exceeded").add(1);
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::deadlineExceeded,
-                            "deadline of " +
-                                formatDouble(req.deadlineMs) +
-                                " ms expired"),
-                 /*faultable=*/true);
-    } catch (const FatalError &e) {
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::badRequest, e.what()),
-                 /*faultable=*/true);
-    } catch (const std::exception &e) {
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::internalError, e.what()),
-                 /*faultable=*/true);
+        if (!task.conn->open.load())
+            return false;
+        if (total - 1 >= req.resumeFrom)
+            partial(total - 1, total, classifyFrontBody(*result));
+        return done(total);
     }
+
+    // Yield: a one-point stream carrying the full body, so the
+    // client's resume rule is uniform across streamed types.
+    // resume_from 1 means the client already holds the point —
+    // answer done without recomputing.
+    fatalIf(req.resumeFrom > 1,
+            "resume_from is past the yield's single point");
+    if (req.resumeFrom == 0)
+        partial(0, 1, coalesced(task));
+    return done(1);
 }
 
 std::string
@@ -709,26 +465,27 @@ Server::coalesced(const Task &task)
         }
 
         if (leader) {
+            // Drop the entry only if it is still ours.
+            const auto release = [&] {
+                std::lock_guard lk(coalesceMutex_);
+                auto it = inflight_.find(key);
+                if (it != inflight_.end() && it->second.id == id)
+                    inflight_.erase(it);
+            };
             std::string body;
             try {
                 body = computeBody(task);
             } catch (...) {
                 // Same semantics as the SynthCache: store the
-                // exception first, then drop the entry (only if it
-                // is still ours), so every coalesced waiter sees
-                // the original error and later requests retry.
+                // exception first, then drop the entry, so every
+                // coalesced waiter sees the original error and
+                // later requests retry.
                 promise.set_exception(std::current_exception());
-                std::lock_guard lk(coalesceMutex_);
-                auto it = inflight_.find(key);
-                if (it != inflight_.end() && it->second.id == id)
-                    inflight_.erase(it);
+                release();
                 throw;
             }
             promise.set_value(body);
-            std::lock_guard lk(coalesceMutex_);
-            auto it = inflight_.find(key);
-            if (it != inflight_.end() && it->second.id == id)
-                inflight_.erase(it);
+            release();
             return body;
         }
 
@@ -766,48 +523,24 @@ Server::computeBody(const Task &task)
       }
 
       case RequestType::Sweep: {
-        if (req.hasIss) {
-            const auto grid = req.iss.grid();
-            if (task.hasDeadline) {
-                // Sequential, deadline-checked between points, same
-                // rule as the synth sweep below. ISS results are
-                // engine- and thread-count-invariant, so the reply
-                // bytes don't depend on which path ran.
-                std::vector<IssSweepPoint> points;
-                points.reserve(grid.size());
-                for (const auto &[core, kernel] : grid) {
-                    if (Clock::now() > task.deadline)
-                        throw DeadlineError();
-                    points.push_back(
-                        evaluateIssPoint(core, kernel, req.iss));
-                }
-                return issSweepBody(points);
-            }
-            SweepOptions opts;
-            opts.pool = &pool_;
-            std::lock_guard lk(poolMutex_);
-            return issSweepBody(sweepLegacyIss(req.iss, opts));
-        }
-        const std::vector<CoreConfig> configs =
-            req.sweep.configs();
         if (task.hasDeadline) {
-            // Sequential, deadline-checked between points. Point
-            // results are identical to the pool path (evaluation
-            // is deterministic), so the reply bytes don't depend
-            // on which path ran.
-            std::vector<DesignPoint> points;
-            points.reserve(configs.size());
-            for (const CoreConfig &config : configs) {
-                if (Clock::now() > task.deadline)
-                    throw DeadlineError();
-                points.push_back(evaluateDesignPoint(config));
-            }
-            return sweepBody(points);
+            // Sequential, deadline-checked between points; the
+            // points are joined exactly as sweepBody()/issSweepBody()
+            // join them, so the reply bytes don't depend on which
+            // path ran.
+            std::string body = "{\"points\": [";
+            sweepPoints(task, [&](std::uint64_t i, std::uint64_t,
+                                  const std::string &point) {
+                body += i ? ", " + point : point;
+            });
+            return body + "]}";
         }
         SweepOptions opts;
         opts.pool = &pool_;
         std::lock_guard lk(poolMutex_);
-        return sweepBody(sweepConfigs(configs, opts));
+        return req.hasIss
+                   ? issSweepBody(sweepLegacyIss(req.iss, opts))
+                   : sweepBody(sweepConfigs(req.sweep.configs(), opts));
       }
 
       case RequestType::Classify: {
@@ -830,41 +563,65 @@ Server::computeBody(const Task &task)
     }
 }
 
+std::optional<std::uint64_t>
+Server::sweepPoints(
+    const Task &task,
+    const std::function<void(std::uint64_t, std::uint64_t,
+                             const std::string &)> &sink)
+{
+    const Request &req = task.req;
+    std::vector<std::pair<legacy::LegacyCore, Kernel>> grid;
+    std::vector<CoreConfig> configs;
+    if (req.hasIss)
+        grid = req.iss.grid();
+    else
+        configs = req.sweep.configs();
+    const std::uint64_t total = req.hasIss ? grid.size() : configs.size();
+    fatalIf(req.resumeFrom > total,
+            "resume_from " + std::to_string(req.resumeFrom) +
+                " is past the sweep's " + std::to_string(total) +
+                " points");
+    for (std::uint64_t i = req.resumeFrom; i < total; ++i) {
+        if (task.hasDeadline && Clock::now() > task.deadline)
+            throw DeadlineError();
+        if (req.stream && !task.conn->open.load())
+            return std::nullopt;
+        const std::size_t at = std::size_t(i);
+        sink(i, total,
+             req.hasIss ? issPointBody(evaluateIssPoint(
+                              grid[at].first, grid[at].second, req.iss))
+                        : synthBody(evaluateDesignPoint(configs[at])));
+    }
+    return total;
+}
+
 std::string
 Server::metricsBody() const
 {
+    // {"name": value, ...} of one instrument kind, in name order.
+    const auto object = [](const auto &entries, const auto &render) {
+        std::string out = "{";
+        for (const auto &[name, value] : entries)
+            out += (out.size() > 1 ? ", " : "") +
+                   json::jsonQuote(name) + ": " + render(value);
+        return out + "}";
+    };
     const metrics::Snapshot snap =
         metrics::Registry::global().snapshot();
-    std::string out = "{\"counters\": {";
-    bool first = true;
-    for (const auto &[name, value] : snap.counters) {
-        out += first ? "" : ", ";
-        out += json::jsonQuote(name) + ": " +
-               std::to_string(value);
-        first = false;
-    }
-    out += "}, \"gauges\": {";
-    first = true;
-    for (const auto &[name, value] : snap.gauges) {
-        out += first ? "" : ", ";
-        out += json::jsonQuote(name) + ": " + formatDouble(value);
-        first = false;
-    }
-    out += "}, \"distributions\": {";
-    first = true;
-    for (const auto &[name, s] : snap.distributions) {
-        out += first ? "" : ", ";
-        out += json::jsonQuote(name);
-        out += ": {\"count\": " + std::to_string(s.count);
-        out += ", \"mean\": " + formatDouble(s.mean);
-        out += ", \"p50\": " + formatDouble(s.p50);
-        out += ", \"p95\": " + formatDouble(s.p95);
-        out += ", \"max\": " + formatDouble(s.max);
-        out += "}";
-        first = false;
-    }
-    out += "}}";
-    return out;
+    return "{\"counters\": " +
+           object(snap.counters,
+                  [](std::uint64_t v) { return std::to_string(v); }) +
+           ", \"gauges\": " + object(snap.gauges, formatDouble) +
+           ", \"distributions\": " +
+           object(snap.distributions,
+                  [](const metrics::Distribution::Summary &s) {
+                      return "{\"count\": " + std::to_string(s.count) +
+                             ", \"mean\": " + formatDouble(s.mean) +
+                             ", \"p50\": " + formatDouble(s.p50) +
+                             ", \"p95\": " + formatDouble(s.p95) +
+                             ", \"max\": " + formatDouble(s.max) + "}";
+                  }) +
+           "}";
 }
 
 std::string
@@ -891,51 +648,6 @@ Server::healthBody()
     out += draining ? "true" : "false";
     out += "}";
     return out;
-}
-
-void
-Server::sendLine(const std::shared_ptr<Connection> &conn,
-                 const std::string &line, bool faultable)
-{
-    std::string framed = line;
-    framed += '\n';
-
-    if (faultable && fault_) {
-        double delayMs = 0;
-        switch (fault_->onComputeReply(delayMs)) {
-          case FaultInjector::SendFault::None:
-            break;
-          case FaultInjector::SendFault::Drop: {
-            // The reply vanishes: hang up without sending. The
-            // client must detect the lost connection and replay.
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Truncate: {
-            // A torn frame: half the bytes, then hang up. The
-            // client must discard the partial line, not parse it.
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            netio::sendAll(conn->fd, framed.data(),
-                           framed.size() / 2);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Delay:
-            // A slow peer: stall outside the write lock so other
-            // replies on this connection aren't held hostage.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    delayMs));
-            break;
-        }
-    }
-
-    std::lock_guard lk(conn->writeMutex);
-    if (!netio::sendAll(conn->fd, framed.data(), framed.size()))
-        conn->open.store(false); // client went away; drop the reply
 }
 
 } // namespace printed::service

@@ -72,16 +72,19 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
 #include "service/fault_plan.hh"
+#include "service/line_server.hh"
 #include "service/protocol.hh"
 
 namespace printed
@@ -150,7 +153,7 @@ class Server
     void start();
 
     /** The bound port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return front_.port(); }
 
     /**
      * Request shutdown: stop admitting compute requests and wake
@@ -166,49 +169,40 @@ class Server
     void wait();
 
   private:
-    struct Connection;
-
-    /** Admission verdicts. */
-    enum class Admit
-    {
-        Ok,
-        QueueFull,
-        ShuttingDown
-    };
+    using ConnPtr = LineServer::ConnPtr;
 
     /** One admitted compute request. */
     struct Task
     {
         Request req;
-        std::shared_ptr<Connection> conn;
+        ConnPtr conn;
         std::chrono::steady_clock::time_point admitted;
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadline;
     };
 
-    void acceptLoop();
-    void readerLoop(std::shared_ptr<Connection> conn);
     void executorLoop(unsigned slot);
     void watchdogLoop();
 
     /** Handle one request line from a connection. */
-    void handleLine(const std::shared_ptr<Connection> &conn,
-                    const std::string &line);
+    void handleLine(const ConnPtr &conn, const std::string &line);
 
     /**
-     * Class-aware admission (see file comment). On QueueFull,
-     * retryAfterMsOut carries the depth-scaled backoff hint.
+     * Class-aware admission (see file comment): queue the task, or
+     * return its rejection reply (queue_full with a depth-scaled
+     * retry_after_ms hint, or shutting_down).
      */
-    Admit admit(Task task, double &retryAfterMsOut);
+    std::optional<std::string> admit(Task task);
     void execute(Task &task, unsigned slot);
 
     /**
      * Serve a "stream": true request (protocol v2): partial frames
      * in point order starting at resume_from, then a done frame.
      * Sends its own frames; every frame is faultable like a
-     * monolithic compute reply.
+     * monolithic compute reply. Returns false when the client went
+     * away mid-stream; throws on a deadline or a bad resume_from.
      */
-    void streamTask(Task &task);
+    bool streamTask(const Task &task);
 
     /**
      * Result body of a compute request, deduped against identical
@@ -220,28 +214,28 @@ class Server
     /** Compute the result body of a task (no coalescing). */
     std::string computeBody(const Task &task);
 
+    /** The one per-point loop of a sweep (synth or ISS): points
+     *  resume_from..N-1 in order, deadline-checked (and, for a
+     *  stream, client-checked) before each, bodies to `sink`.
+     *  Returns N, or nothing when a streaming client went away. */
+    std::optional<std::uint64_t> sweepPoints(
+        const Task &task,
+        const std::function<void(std::uint64_t index,
+                                 std::uint64_t total,
+                                 const std::string &body)> &sink);
+
     std::string metricsBody() const;
     std::string healthBody();
-
-    /**
-     * Send one reply line on a connection (serialized per-conn).
-     * `faultable` marks compute replies, the only traffic the fault
-     * injector may drop, truncate, or delay.
-     */
-    void sendLine(const std::shared_ptr<Connection> &conn,
-                  const std::string &line, bool faultable = false);
 
     void joinEverything();
 
     ServerOptions opts_;
-    std::uint16_t port_ = 0;
-    int listenFd_ = -1;
+    LineServer front_{"service"};
     std::chrono::steady_clock::time_point started_;
 
     ThreadPool pool_;
     std::mutex poolMutex_; ///< the pool runs one job at a time
 
-    std::thread acceptThread_;
     std::vector<std::thread> executors_;
 
     /** What one executor is working on, for the watchdog. */
@@ -258,11 +252,7 @@ class Server
     std::condition_variable watchdogCv_;
     bool watchdogStop_ = false;
 
-    std::unique_ptr<FaultInjector> fault_;
     std::shared_ptr<DiskCache> installedDisk_;
-
-    std::mutex connMutex_;
-    std::vector<std::shared_ptr<Connection>> conns_;
 
     std::mutex queueMutex_;
     std::condition_variable queueCv_;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -19,7 +21,9 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
+#include "service/balancer.hh"
 #include "service/client.hh"
+#include "service/daemon_main.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
 
@@ -848,6 +852,148 @@ TEST(ServiceServer, CoalescesIdenticalInflightRequests)
             return; // coalescing observed
     }
     FAIL() << "no coalescing observed in any burst";
+}
+
+TEST(ServiceProtocol, RequestTypeTableIsPinned)
+{
+    // The health "types" order, every name's parse and echo, the
+    // streamable set, and each type's requests counter.
+    EXPECT_EQ(supportedTypesJson(),
+              "[\"synth\", \"yield\", \"sweep\", \"classify\", "
+              "\"metrics\", \"health\", \"shutdown\"]");
+    const json::Value types = json::parse(supportedTypesJson());
+    for (const json::Value &t : types.array) {
+        const std::string head =
+            "{\"id\": \"p\", \"type\": " + json::jsonQuote(t.string);
+        const Request req = parseRequest(head + "}");
+        EXPECT_EQ(requestTypeName(req.type), t.string);
+
+        bool streams = true;
+        try {
+            EXPECT_TRUE(parseRequest(head + ", \"stream\": true}").stream);
+        } catch (const FatalError &) {
+            streams = false;
+        }
+        EXPECT_EQ(streams, t.string == "sweep" || t.string == "yield" ||
+                               t.string == "classify")
+            << t.string;
+    }
+
+    Server server;
+    server.start();
+    Client client("127.0.0.1", server.port());
+    SweepSpec spec;
+    spec.stages = {1};
+    spec.widths = {4};
+    spec.bars = {2};
+    const std::vector<std::pair<std::string, std::string>> sent = {
+        {"synth", synthRequest("s", smallConfig())},
+        {"yield", yieldRequest("y", smallConfig(), 16)},
+        {"sweep", sweepRequest("w", spec)},
+        {"classify", classifyRequest("c", smallClassifySpec())},
+        {"admin", adminRequest("h", RequestType::Health)},
+    };
+    for (const auto &[bumped, line] : sent) {
+        std::map<std::string, std::uint64_t> before;
+        for (const auto &[name, _] : sent)
+            before[name] =
+                metrics::counter("service.requests_" + name).value();
+        ASSERT_TRUE(parseReply(client.call(line)).ok) << line;
+        for (const auto &[name, _] : sent)
+            EXPECT_EQ(metrics::counter("service.requests_" + name)
+                              .value() -
+                          before[name],
+                      name == bumped ? 1u : 0u)
+                << line << " -> service.requests_" << name;
+    }
+}
+
+TEST(ServiceFlags, NumericFlagsAreChecked)
+{
+    EXPECT_EQ(parseFlagNumber("--port", "0", 65535), 0u);
+    EXPECT_EQ(parseFlagNumber("--port", "65535", 65535), 65535u);
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(parseFlagNumber("--cache-cap", "18446744073709551615",
+                              kMax),
+              kMax);
+
+    for (const char *bad :
+         {"", "abc", "-1", "+1", " 1", "1 ", "12x", "0x10", "1.5"})
+        EXPECT_THROW(parseFlagNumber("--port", bad, 65535), FatalError)
+            << "'" << bad << "'";
+    EXPECT_THROW(parseFlagNumber("--port", "65536", 65535), FatalError);
+    EXPECT_THROW(parseFlagNumber("--cache-cap", "18446744073709551616",
+                                 kMax),
+                 FatalError);
+    try {
+        parseFlagNumber("--port", "70000", 65535);
+        FAIL() << "--port 70000 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--port"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    char prog[] = "printedd", flag[] = "--port", value[] = "8080";
+    char *argv[] = {prog, flag, value};
+    int i = 1;
+    EXPECT_EQ(flagNumber(3, argv, i, 65535), 8080u);
+    EXPECT_EQ(i, 2);
+    i = 1;
+    EXPECT_THROW(flagNumber(2, argv, i, 65535), FatalError);
+}
+
+/** Entries of a /proc/self directory (open fds, threads). */
+std::size_t
+procEntries(const char *dir)
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir))
+        ++n;
+    return n;
+}
+
+TEST(ServiceServer, ConnectionChurnHoldsNoPerConnectionResources)
+{
+    // A closed connection must hold no fd and no thread, in printedd
+    // and in the balancer (whose health fan-out also churns one
+    // worker connection per client). One client at a time, so no
+    // more than a few threads are ever live.
+    Server server;
+    server.start();
+    BalancerOptions bo;
+    bo.workers.push_back({"127.0.0.1", server.port()});
+    Balancer balancer(bo);
+    balancer.start();
+
+    const auto churn = [](std::uint16_t port, unsigned clients) {
+        for (unsigned i = 0; i < clients; ++i) {
+            Client c("127.0.0.1", port);
+            c.send(adminRequest("h", RequestType::Health));
+            ASSERT_TRUE(parseReply(c.readLine(10000)).ok);
+        }
+    };
+    const auto settled = [](std::size_t fds, std::size_t threads) {
+        // Reaping trails the last hang-up by a moment.
+        for (int i = 0; i < 500; ++i) {
+            if (procEntries("/proc/self/fd") <= fds &&
+                procEntries("/proc/self/task") <= threads)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    };
+    churn(server.port(), 8);
+    churn(balancer.port(), 8);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::size_t fds = procEntries("/proc/self/fd");
+    const std::size_t threads = procEntries("/proc/self/task");
+
+    churn(server.port(), 3000);
+    churn(balancer.port(), 3000);
+    settled(fds + 4, threads + 4);
+    EXPECT_LE(procEntries("/proc/self/fd"), fds + 4);
+    EXPECT_LE(procEntries("/proc/self/task"), threads + 4);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "service/net_io.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
+#include "service/shard_map.hh"
 
 namespace
 {
@@ -453,6 +455,157 @@ TEST(Streaming, ClassifyThroughBalancerMatchesDirect)
     for (const json::Value &t : types->array)
         hasClassify = hasClassify || t.string == "classify";
     EXPECT_TRUE(hasClassify) << health;
+}
+
+/**
+ * A raw-socket printedd stand-in that is draining: it answers admin
+ * requests ok, and every compute request with a shutting_down error,
+ * after `partials` (real partial frames) when the request streams.
+ */
+class DrainingWorker
+{
+  public:
+    explicit DrainingWorker(std::vector<std::string> partials)
+        : partials_(std::move(partials))
+    {
+        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+                   len) != 0 ||
+            ::listen(listenFd_, 16) != 0)
+            throw std::runtime_error("fake worker cannot listen");
+        ::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+                      &len);
+        port = ntohs(addr.sin_port);
+        acceptor_ = std::thread([this] {
+            for (;;) {
+                const int fd = ::accept(listenFd_, nullptr, nullptr);
+                if (fd < 0)
+                    return;
+                std::lock_guard lk(mutex_);
+                conns_.emplace_back([this, fd] { serve(fd); });
+            }
+        });
+    }
+
+    ~DrainingWorker()
+    {
+        ::shutdown(listenFd_, SHUT_RDWR);
+        acceptor_.join();
+        for (std::thread &t : conns_)
+            t.join(); // each ends when its peer hangs up
+        ::close(listenFd_);
+    }
+
+    std::uint16_t port = 0;
+
+  private:
+    void serve(int fd)
+    {
+        std::string line;
+        char c;
+        while (netio::recvSome(fd, &c, 1) == 1) {
+            if (c != '\n') {
+                line.push_back(c);
+                continue;
+            }
+            const Request req = parseRequest(line);
+            line.clear();
+            std::string out;
+            if (req.type == RequestType::Health ||
+                req.type == RequestType::Metrics ||
+                req.type == RequestType::Shutdown) {
+                out = okReply(req.id, req.type, "{}") + "\n";
+            } else {
+                for (const std::string &p : partials_)
+                    out += req.stream ? p + "\n" : "";
+                out += errorReply(req.id, errc::shuttingDown,
+                                  "server is draining") +
+                       "\n";
+            }
+            netio::sendAll(fd, out.data(), out.size());
+        }
+        ::close(fd);
+    }
+
+    std::vector<std::string> partials_;
+    int listenFd_ = -1;
+    std::thread acceptor_;
+    std::mutex mutex_;
+    std::vector<std::thread> conns_;
+};
+
+/**
+ * A worker draining mid-exchange is a failover, not an answer: the
+ * balancer must serve the real bytes from the next shard, resuming
+ * past any partials it already relayed, and annotate only the final
+ * frame as degraded.
+ */
+void
+expectFailoverPastDrainingWorker(std::size_t partialsBeforeDrain)
+{
+    Server real;
+    real.start();
+    const SweepSpec spec = fourPointSpec();
+    const std::string streamLine = sweepStreamRequest("w", spec);
+
+    // Reference frames and monolithic reply, straight from printedd.
+    std::vector<std::string> ref;
+    Client direct("127.0.0.1", real.port());
+    const std::string monolithic = direct.call(sweepRequest("w", spec));
+    direct.send(streamLine);
+    do
+        ref.push_back(direct.readLine(10000));
+    while (classifyFrame(ref.back()).kind == StreamFrame::Kind::Partial);
+    ASSERT_EQ(ref.size(), 5u);
+
+    // The draining worker owns the key; the real one is its
+    // ring successor.
+    DrainingWorker draining(std::vector<std::string>(
+        ref.begin(), ref.begin() + long(partialsBeforeDrain)));
+    const unsigned primary =
+        ShardMap::forCount(2).shardFor(routeKey(parseRequest(streamLine)));
+    BalancerOptions bo;
+    bo.workers.resize(2);
+    bo.workers[primary] = {"127.0.0.1", draining.port};
+    bo.workers[1 - primary] = {"127.0.0.1", real.port()};
+    Balancer balancer(bo);
+    balancer.start();
+    Client client("127.0.0.1", balancer.port());
+
+    // Streamed: every partial once, in order, byte-identical; the
+    // done frame alone carries the annotation.
+    client.send(streamLine);
+    std::vector<std::string> points;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::string frame = client.readLine(10000);
+        EXPECT_EQ(frame, ref[i]) << "partial " << i;
+        points.push_back(classifyFrame(frame).pointBody);
+    }
+    EXPECT_EQ(client.readLine(10000), markDegraded(ref[4]));
+    EXPECT_EQ(assembleStreamedReply("w", RequestType::Sweep, points),
+              monolithic);
+
+    // Monolithic, from a fresh balancer (the first one has marked
+    // the draining worker down): the real reply, annotated.
+    Balancer fresh(bo);
+    fresh.start();
+    Client mono("127.0.0.1", fresh.port());
+    EXPECT_EQ(mono.call(sweepRequest("w", spec)),
+              markDegraded(monolithic));
+}
+
+TEST(Streaming, BalancerFailsOverWhenAWorkerDrainsBeforeAnyPartial)
+{
+    expectFailoverPastDrainingWorker(0);
+}
+
+TEST(Streaming, BalancerResumesPastPartialsOfADrainingWorker)
+{
+    expectFailoverPastDrainingWorker(2);
 }
 
 } // namespace
