@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace printed
 {
@@ -46,20 +47,28 @@ class PanicError : public std::logic_error
  */
 [[noreturn]] void panic(const std::string &msg);
 
+/*
+ * Checks on hot paths must cost nothing when they pass. The message
+ * is a std::string_view, so a literal builds no std::string unless
+ * cond holds. A message assembled at run time (concatenation,
+ * std::to_string) would still be built on every call, so such a
+ * check is written as `if (cond) panic(...)` instead.
+ */
+
 /** Call fatal(msg) when cond is true. */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
     if (cond)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 /** Call panic(msg) when cond is true. */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
     if (cond)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 } // namespace printed

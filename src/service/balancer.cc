@@ -311,7 +311,13 @@ Balancer::handleLine(const ConnPtr &conn, const std::string &line,
     }
 
     if (!requestTypeInfo(req.type).admin) {
-        routeCompute(conn, req, line, shardConns);
+        // Injected overload, as on printedd: refuse an admissible
+        // compute request before routing it (chaos for the client's
+        // retry path through the balancer).
+        if (front_.fault() && front_.fault()->forceQueueFull())
+            front_.sendLine(conn, queueFullReply(req.id, 10));
+        else
+            routeCompute(conn, req, line, shardConns);
     } else if (req.type == RequestType::Shutdown) {
         front_.sendLine(conn, okReply(req.id, req.type,
                                       "{\"draining\": true}"));
@@ -354,14 +360,8 @@ Balancer::routeCompute(const ConnPtr &conn, const Request &req,
 
         Client &worker = shardConns[shardId];
         if (forwardAttempt(shard, worker, conn, wire, degraded,
-                           forwarded)) {
-            if (degraded) {
-                stats_.failovers.fetch_add(
-                    1, std::memory_order_relaxed);
-                metrics::counter("balancer.failovers").add(1);
-            }
+                           forwarded))
             return;
-        }
         worker.close();
         markDown(shard);
     }
@@ -411,7 +411,14 @@ Balancer::forwardAttempt(Shard &shard, Client &worker,
                 }
                 // Done or Final: the exchange is over. Annotating
                 // only these frames keeps partial bodies byte-exact
-                // for reassembly.
+                // for reassembly. A failover is counted before its
+                // final frame leaves, so a client that reads the
+                // stats after the reply always sees it.
+                if (degraded) {
+                    stats_.failovers.fetch_add(
+                        1, std::memory_order_relaxed);
+                    metrics::counter("balancer.failovers").add(1);
+                }
                 front_.sendLine(conn,
                                 degraded ? markDegraded(raw) : raw,
                                 /*faultable=*/true);

@@ -45,7 +45,8 @@
  *
  * Fault injection: an optional FaultPlan applies to compute frames
  * the balancer relays (drop/truncate/delay), so chaos tests can
- * exercise the client's resume path *through* the balancer.
+ * exercise the client's resume path *through* the balancer, and its
+ * queue_full rate refuses compute requests before they are routed.
  */
 
 #ifndef PRINTED_SERVICE_BALANCER_HH
@@ -120,7 +121,7 @@ struct BalancerOptions
     /** Largest accepted request line; longer closes the client. */
     std::size_t maxRequestBytes = 1 << 20;
 
-    /** Injected-fault schedule on relayed compute frames. */
+    /** Injected-fault schedule on compute requests and frames. */
     FaultPlan faultPlan;
 };
 

@@ -126,7 +126,11 @@ LineServer::acceptLoop()
         // is in place before it can look for it.
         std::lock_guard lk(liveMutex_);
         live_[conn] = std::thread([this, conn] {
-            trace::setThreadName(role_ + "-reader");
+            // A registered name outlives its thread, so naming every
+            // reader would keep an entry per closed connection. While
+            // tracing, that tid's events are kept anyway.
+            if (trace::enabled())
+                trace::setThreadName(role_ + "-reader");
             readerLoop(conn);
         });
     }

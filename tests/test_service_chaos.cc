@@ -255,6 +255,39 @@ TEST(ServiceChaos, CorruptedDiskEntryIsRebuiltNotTrusted)
               corruptBefore);
 }
 
+TEST(ServiceChaos, BalancerAppliesQueueFullFromItsFaultPlan)
+{
+    Server worker;
+    worker.start();
+    BalancerOptions bo;
+    bo.workers.push_back({"127.0.0.1", worker.port()});
+    bo.faultPlan = FaultPlan::parse("seed=3,queue_full=1");
+    Balancer balancer(bo);
+    balancer.start();
+    Client client("127.0.0.1", balancer.port());
+
+    // Every compute request is refused before it is routed, with the
+    // same reply printedd gives for an injected overload.
+    const std::uint64_t before =
+        metrics::counter("service.fault.queue_fulls").value();
+    const std::vector<std::string> requests = chaosRequests();
+    for (const std::string &req : requests) {
+        const Reply r = parseReply(client.call(req));
+        EXPECT_FALSE(r.ok) << r.raw;
+        EXPECT_EQ(r.error, errc::queueFull) << r.raw;
+        EXPECT_EQ(r.raw, queueFullReply(r.id, 10));
+    }
+    EXPECT_EQ(metrics::counter("service.fault.queue_fulls").value() -
+                  before,
+              requests.size());
+    EXPECT_EQ(balancer.stats().routed.load(), 0u);
+
+    // Admin requests are not compute work: health is still answered.
+    const Reply health =
+        parseReply(client.call(adminRequest("h", RequestType::Health)));
+    EXPECT_TRUE(health.ok) << health.raw;
+}
+
 /** Remove the balancer's failover annotation from a reply line. */
 std::string
 stripDegraded(std::string raw)

@@ -588,6 +588,8 @@ expectFailoverPastDrainingWorker(std::size_t partialsBeforeDrain)
     EXPECT_EQ(client.readLine(10000), markDegraded(ref[4]));
     EXPECT_EQ(assembleStreamedReply("w", RequestType::Sweep, points),
               monolithic);
+    // Counted before the degraded final frame was sent.
+    EXPECT_EQ(balancer.stats().failovers.load(), 1u);
 
     // Monolithic, from a fresh balancer (the first one has marked
     // the draining worker down): the real reply, annotated.
@@ -596,6 +598,7 @@ expectFailoverPastDrainingWorker(std::size_t partialsBeforeDrain)
     Client mono("127.0.0.1", fresh.port());
     EXPECT_EQ(mono.call(sweepRequest("w", spec)),
               markDegraded(monolithic));
+    EXPECT_EQ(fresh.stats().failovers.load(), 1u);
 }
 
 TEST(Streaming, BalancerFailsOverWhenAWorkerDrainsBeforeAnyPartial)
